@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"tofumd/internal/core"
-	"tofumd/internal/des"
 	"tofumd/internal/faultinject"
 	"tofumd/internal/md/dump"
 	"tofumd/internal/md/restart"
@@ -33,27 +32,26 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mdsim: ")
 	var (
-		potName   = flag.String("potential", "lj", "potential: lj or eam")
-		atoms     = flag.Int("atoms", 65536, "approximate atom count")
-		nodes     = flag.String("nodes", "4x6x4", "node torus shape XxYxZ")
-		variant   = flag.String("variant", "opt", "code variant: ref, mpi-p2p, utofu-3stage, 4tni-p2p, 6tni-p2p, opt")
-		steps     = flag.Int("steps", 99, "MD steps")
-		thermoEv  = flag.Int("thermo", 20, "thermo output interval (0 = off)")
-		newton    = flag.Bool("newton", true, "Newton's 3rd law")
-		inFile    = flag.String("in", "", "LAMMPS-style input deck (overrides potential/atoms/steps flags)")
-		dumpFile  = flag.String("dump", "", "write an extended-XYZ trajectory to this file")
-		dumpEv    = flag.Int("dumpevery", 20, "dump interval in steps")
-		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-		metFile   = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		faultsStr = flag.String("faults", "", `fault injection spec, e.g. "drop=0.01,seed=7" (see package faultinject)`)
-		ckptEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = off)")
-		ckptFile  = flag.String("checkpoint", "tofumd.restart", "checkpoint file written by -checkpoint-every")
-		restartIn = flag.String("restart", "", "resume from a checkpoint file written by -checkpoint-every")
-		par       = flag.Int("par", 1, "logical processes for the parallel event engine (0 = plain serial; N >= 1 runs the parallel engine, results bit-identical)")
-		planOnly  = flag.Bool("plan", false, "print the static halo neighbor-plan summary (pattern, link graph, rounds) and exit without running")
+		potName    = flag.String("potential", "lj", "potential: lj or eam")
+		atoms      = flag.Int("atoms", 65536, "approximate atom count")
+		nodes      = flag.String("nodes", "4x6x4", "node torus shape XxYxZ")
+		variant    = flag.String("variant", "opt", "code variant: ref, mpi-p2p, utofu-3stage, 4tni-p2p, 6tni-p2p, opt")
+		steps      = flag.Int("steps", 99, "MD steps")
+		thermoEv   = flag.Int("thermo", 20, "thermo output interval (0 = off)")
+		newton     = flag.Bool("newton", true, "Newton's 3rd law")
+		inFile     = flag.String("in", "", "LAMMPS-style input deck (overrides potential/atoms/steps flags)")
+		dumpFile   = flag.String("dump", "", "write an extended-XYZ trajectory to this file")
+		dumpEv     = flag.Int("dumpevery", 20, "dump interval in steps")
+		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
+		metFile    = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		faultsStr  = flag.String("faults", "", `fault injection spec, e.g. "drop=0.01,seed=7" (see package faultinject)`)
+		ckptEvery  = flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = off)")
+		ckptFile   = flag.String("checkpoint", "tofumd.restart", "checkpoint file written by -checkpoint-every")
+		restartIn  = flag.String("restart", "", "resume from a checkpoint file written by -checkpoint-every")
+		planOnly   = flag.Bool("plan", false, "print the static halo neighbor-plan summary (pattern, link graph, rounds) and exit without running")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (e.g. localhost:8080, port 0 picks one; GET /status)")
-		explain    = flag.Bool("explain", false, "print the scaling-diagnosis report (per-LP engine profile + critical path) after the run")
+		explain    = flag.Bool("explain", false, "print the scaling-diagnosis report (MD stage shares + critical path) after the run")
 	)
 	flag.Parse()
 
@@ -109,7 +107,7 @@ func main() {
 		if *restartIn != "" || *ckptEvery > 0 {
 			log.Fatal("-restart and -checkpoint-every apply to the flag-driven path, not -in decks")
 		}
-		runDeck(*inFile, shape, *variant, faults, rec, met, *par, status, *explain)
+		runDeck(*inFile, shape, *variant, faults, rec, met, status, *explain)
 		writeTrace(*traceFile, rec)
 		finishMetrics(*metFile, met)
 		return
@@ -142,8 +140,6 @@ func main() {
 		Recorder:    rec,
 		Metrics:     met,
 		Faults:      faults,
-		ParallelLPs: *par,
-		Profile:     *explain || status.Enabled(),
 	}
 	if *planOnly {
 		plan, err := core.Plan(spec)
@@ -203,21 +199,14 @@ func main() {
 			}
 		}
 	}
-	// The diagnosis layer observes at step boundaries: it pushes status
-	// snapshots, captures the engine profile for -explain, and samples the
-	// per-LP Chrome counter tracks into the trace.
-	var lastStats *des.ParallelStats
-	if status.Enabled() || *explain || (rec != nil && *par > 0) {
+	// The status endpoint observes at step boundaries.
+	if status.Enabled() {
 		prev := spec.Observer
 		spec.Observer = func(s *sim.Simulation, step int) {
 			if prev != nil {
 				prev(s, step)
 			}
-			if st, ok := s.ParallelStats(); ok {
-				lastStats = &st
-				obs.SampleLPCounters(rec, st, s.Now())
-			}
-			status.Observe(step, lastStats, s.Health())
+			status.Observe(step, s.Health())
 		}
 	}
 	res, err := core.Run(spec)
@@ -245,7 +234,7 @@ func main() {
 	fmt.Printf("Performance: %.6g %s (virtual wall clock %.6f s)\n", res.PerfPerDay, unit, res.Elapsed)
 	if *explain {
 		fmt.Println("\nScaling diagnosis:")
-		fmt.Print(obs.Explain(lastStats, rec, 10))
+		fmt.Print(obs.Explain(rec, 10))
 	}
 	writeTrace(*traceFile, rec)
 	finishMetrics(*metFile, met)
@@ -321,7 +310,7 @@ func writeTrace(path string, rec *trace.Recorder) {
 
 // runDeck executes a parsed LAMMPS-style input file on the machine.
 func runDeck(path string, shape vec.I3, variantName string, faults faultinject.Spec,
-	rec *trace.Recorder, met *metrics.Registry, par int, status *obs.StatusServer, explain bool) {
+	rec *trace.Recorder, met *metrics.Registry, status *obs.StatusServer, explain bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -357,27 +346,12 @@ func runDeck(path string, shape vec.I3, variantName string, faults faultinject.S
 	if faults.Enabled() {
 		s.SetFaults(faultinject.New(faults))
 	}
-	if par > 0 {
-		if err := s.SetParallel(par); err != nil {
-			log.Fatal(err)
-		}
-	}
-	s.SetProfiling(explain || status.Enabled())
 	status.SetSteps(steps)
-	var lastStats *des.ParallelStats
-	if status.Enabled() || explain || (rec != nil && par > 0) {
-		for i := 1; i <= steps; i++ {
-			s.Step()
-			if st, ok := s.ParallelStats(); ok {
-				lastStats = &st
-				obs.SampleLPCounters(rec, st, s.Now())
-			}
-			status.Observe(i, lastStats, s.Health())
-		}
-		status.Finish()
-	} else {
-		s.Run(steps)
+	for i := 1; i <= steps; i++ {
+		s.Step()
+		status.Observe(i, s.Health())
 	}
+	status.Finish()
 
 	kind := core.LJ
 	unit := "tau/day"
@@ -403,7 +377,7 @@ func runDeck(path string, shape vec.I3, variantName string, faults faultinject.S
 		core.PerfPerDay(kind, steps, cfg.Dt, elapsed), unit, elapsed)
 	if explain {
 		fmt.Println("\nScaling diagnosis:")
-		fmt.Print(obs.Explain(lastStats, rec, 10))
+		fmt.Print(obs.Explain(rec, 10))
 	}
 }
 

@@ -16,7 +16,6 @@ var deadassignScope = []string{
 	"tofumd/internal/halo",
 	"tofumd/internal/lbm",
 	"tofumd/internal/md/sim",
-	"tofumd/internal/md/comm",
 	"tofumd/internal/md/domain",
 	"tofumd/internal/md/potential",
 }

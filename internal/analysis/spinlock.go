@@ -5,12 +5,10 @@ import (
 	"go/types"
 )
 
-// spinlockScope covers the spin-wait thread pool (paper section 3.3) and
-// the parallel event engine's epoch barrier: the whole point of both is
-// that dispatch/join and epoch release never park a thread in the kernel
-// on the hot path, so the regions that spin on atomics must not block.
-// (The barrier's bounded-spin channel fallback sits after its spin loop,
-// which is exactly the pattern this analyzer permits.)
+// spinlockScope covers the spin-wait thread pool (paper section 3.3),
+// whose whole point is that dispatch/join never park a thread in the
+// kernel on the hot path, and the event engine, which runs every fabric
+// round: regions in either that spin on atomics must not block.
 var spinlockScope = []string{
 	"tofumd/internal/threadpool",
 	"tofumd/internal/des",

@@ -1,5 +1,5 @@
-// Package lpstats is the atomicmix fixture: per-LP counters in the style
-// of internal/des/stats.go, with seeded mixed-access bugs.
+// Package lpstats is the atomicmix fixture: per-process counters read
+// concurrently with the run, with seeded mixed-access bugs.
 package lpstats
 
 import "sync/atomic"

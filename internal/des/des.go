@@ -4,45 +4,29 @@
 // shared resources (TNIs, links) are acquired in correct global time order
 // regardless of how the caller enumerated the messages.
 //
-// Two engines are provided. Engine is the serial kernel: one clock, one
-// queue, one goroutine. ParallelEngine (parallel.go) shards the event loop
-// into logical processes synchronized by conservative barrier epochs; it
-// executes the exact same event order per LP as the serial engine would,
-// so the two are interchangeable wherever the caller can partition its
-// state.
+// The engine is serial: one clock, one queue, one goroutine. Events fire in
+// the strict total order (time, seq), where seq is the scheduling counter,
+// so equal-time events run in the order they were scheduled and every run
+// of the same event graph is bit-identical.
 package des
 
 import "fmt"
 
-// event is a scheduled callback. The ordering key is the full tuple
-// (time, sendTime, src, seq): time is when the event fires, sendTime is the
-// scheduler's clock at the moment it called Schedule, src is the scheduling
-// logical process (always 0 for the serial Engine) and seq is the
-// scheduler's per-LP scheduling counter.
-//
-// For the serial engine this collapses to the historical (time, seq) order:
-// sendTime is non-decreasing in seq (the clock never rewinds), so comparing
-// (time, sendTime, 0, seq) and (time, seq) yields the same total order. The
-// longer key exists for the parallel engine, where events from different LPs
-// meet in one queue and the tie-break must not depend on merge order.
+// event is a scheduled callback. The ordering key is (time, seq): time is
+// when the event fires and seq the engine's scheduling counter. Because the
+// clock never rewinds, the scheduler's clock at Schedule time is
+// non-decreasing in seq, so this is also the order of (time, clock at
+// scheduling, seq).
 type event struct {
-	time     float64
-	sendTime float64
-	src      int32
-	seq      uint64
-	fn       func()
+	time float64
+	seq  uint64
+	fn   func()
 }
 
 // before is the strict ordering of the event queue.
 func (a *event) before(b *event) bool {
 	if a.time != b.time {
 		return a.time < b.time
-	}
-	if a.sendTime != b.sendTime {
-		return a.sendTime < b.sendTime
-	}
-	if a.src != b.src {
-		return a.src < b.src
 	}
 	return a.seq < b.seq
 }
@@ -141,7 +125,7 @@ func (e *Engine) Schedule(t float64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.pq.push(event{time: t, sendTime: e.now, seq: e.seq, fn: fn})
+	e.pq.push(event{time: t, seq: e.seq, fn: fn})
 }
 
 // ScheduleAt registers fn to run at virtual time t, rejecting times in the
@@ -153,7 +137,7 @@ func (e *Engine) ScheduleAt(t float64, fn func()) error {
 		return fmt.Errorf("des: ScheduleAt(%g) is before now (%g)", t, e.now)
 	}
 	e.seq++
-	e.pq.push(event{time: t, sendTime: e.now, seq: e.seq, fn: fn})
+	e.pq.push(event{time: t, seq: e.seq, fn: fn})
 	return nil
 }
 

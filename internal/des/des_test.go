@@ -3,6 +3,7 @@ package des
 import (
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,35 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("tie order = %v", order)
 		}
+	}
+}
+
+// TestTieBreakAcrossClocks pins the order of equal-time events scheduled
+// while the clock read different values: earlier scheduling wins, whether
+// the tie was scheduled at time 0, from a later event, via Schedule or
+// ScheduleAt, or clamped up from the past.
+func TestTieBreakAcrossClocks(t *testing.T) {
+	var e Engine
+	var order []string
+	mark := func(name string) func() { return func() { order = append(order, name) } }
+	e.Schedule(5, func() {
+		mark("a")()
+		e.Schedule(5, mark("h"))
+	})
+	e.Schedule(2, func() {
+		mark("b")()
+		e.Schedule(5, mark("d"))
+		if err := e.ScheduleAt(5, mark("e")); err != nil {
+			t.Fatal(err)
+		}
+		e.Schedule(2, mark("f"))
+		e.Schedule(1, mark("g")) // clamped to now = 2
+	})
+	e.Schedule(5, mark("c"))
+	e.Run()
+	want := "b f g a c d e h"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("event order = %q, want %q", got, want)
 	}
 }
 

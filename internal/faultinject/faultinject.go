@@ -2,7 +2,7 @@
 // simulated TofuD fabric: per-link packet drops, receiver-side MRQ-overflow
 // NACKs, transient TNI stalls, and per-link degradation windows expressed in
 // virtual time. The model plugs into tofu.Fabric's transfer path; the layers
-// above (utofu retransmission, mpi retry, the md/comm fallback) provide the
+// above (utofu retransmission, mpi retry, the halo fallback) provide the
 // recovery behavior the faults exercise.
 //
 // Every draw comes from an internal/xrand stream keyed by (seed, fabric
@@ -331,16 +331,15 @@ type linkState struct {
 }
 
 // Model draws fault outcomes for a fabric. Rounds must run one at a time
-// (BeginRound is not concurrent with Judge), but within a round Judge may
-// be called from the parallel engine's LP goroutines: the lazy per-link
-// cache is mutex-protected, and determinism holds because all draws on one
-// link come from the LP owning the source rank, in that LP's deterministic
-// event order.
+// (BeginRound is not concurrent with Judge), but within a round Judge is
+// safe for concurrent use: the lazy per-link cache is mutex-protected.
+// Determinism needs only that the draws on any one link happen in a
+// deterministic order, which the fabric's serial event order provides.
 type Model struct {
 	spec  Spec
 	root  *xrand.Source
 	round uint64
-	mu sync.Mutex
+	mu    sync.Mutex
 	// base is the current round's stream root; guarded by mu.
 	base *xrand.Source
 	// links caches the per-link streams split from base; guarded by mu.
@@ -456,9 +455,8 @@ func (m *Model) beginRoundLocked() {
 
 // link returns the (round, link) stream, creating it on first use. The
 // stream's first draw decides the link's degradation window for the round.
-// The cache lookup is locked because LPs of the parallel engine create
-// streams for different links concurrently; the draw order on any single
-// link stays deterministic (one owning LP per source rank).
+// The cache lookup is locked so concurrent Judge calls may create streams
+// for different links; the draw order on any single link is the caller's.
 func (m *Model) link(src, dst int) *linkState {
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
 	m.mu.Lock()

@@ -10,8 +10,7 @@
 // The workload runs on the same virtual-time substrate as the MD engine:
 // compute stages are charged through machine.CostModel, communication runs
 // through halo.Engine over the uTofu or MPI transport on the simulated Tofu
-// fabric, and results are bit-identical between the serial and parallel DES
-// engines. The Overlap variant hides the interior collision behind the face
+// fabric. The Overlap variant hides the interior collision behind the face
 // exchange (non-blocking ablation); physics are bit-identical to the
 // blocking variant — only the virtual-time accounting differs.
 package lbm
@@ -168,10 +167,6 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 
 // Ranks exposes the rank slice for diagnostics and tests.
 func (s *System) Ranks() []*Rank { return s.ranks }
-
-// SetParallel selects the fabric's event engine (lps > 0: conservative
-// parallel DES). Results are bit-identical either way.
-func (s *System) SetParallel(lps int) error { return s.fab.SetParallel(lps) }
 
 // ElapsedMax returns the slowest rank's virtual clock.
 func (s *System) ElapsedMax() float64 {

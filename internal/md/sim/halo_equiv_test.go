@@ -5,8 +5,8 @@ package sim_test
 // pre-refactor implementation. The pinned fingerprints below were captured
 // on the monolithic internal/md/sim code (before the halo library existed)
 // on the Fig. 6 configuration — a 2x2x2-node tile, the Table 2 LJ system at
-// 16^3 cells, 20 steps — across the serial and parallel (1/2/4/8 LP) DES
-// engines, the uTofu and MPI transports, and fault injection on/off. Any
+// 16^3 cells, 20 steps — across the uTofu and MPI transports and fault
+// injection on/off. Any
 // drift in the decomposition, link-plan enumeration, resource balance,
 // round execution or buffer management shows up here as a changed clock sum
 // or position hash.
@@ -28,7 +28,6 @@ type equivPin struct {
 	name    string
 	variant sim.Variant
 	faults  string
-	lps     int
 
 	clockSum float64
 	posHash  uint64
@@ -42,23 +41,15 @@ func equivPins() []equivPin {
 		optElapsed  = 0.0017530724999999974
 	)
 	return []equivPin{
-		// The optimized p2p/uTofu variant is bit-identical across every DES
-		// engine configuration (serial and 2/4/8 LPs).
-		{"opt-serial", sim.Opt(), "", 0, optClockSum, optPosHash, optElapsed},
-		{"opt-2lp", sim.Opt(), "", 2, optClockSum, optPosHash, optElapsed},
-		{"opt-4lp", sim.Opt(), "", 4, optClockSum, optPosHash, optElapsed},
-		{"opt-8lp", sim.Opt(), "", 8, optClockSum, optPosHash, optElapsed},
+		{"opt-serial", sim.Opt(), "", optClockSum, optPosHash, optElapsed},
 		// The MPI baseline and the uTofu 3-stage variant share physics (same
 		// pattern) but differ in timing.
-		{"ref-mpi", sim.Ref(), "", 0,
+		{"ref-mpi", sim.Ref(), "",
 			0.110842105619608, 0xb4bcede66d7c07, 0.0034687130980392221},
-		{"utofu-3stage", sim.UTofu3Stage(), "", 0,
+		{"utofu-3stage", sim.UTofu3Stage(), "",
 			0.10818704636274543, 0xb4bcede66d7c07, 0.0033876897931372644},
-		// Fault injection perturbs timing (retransmits) but not physics, and
-		// stays bit-identical between the serial and parallel engines.
-		{"opt-faults-serial", sim.Opt(), "drop=0.0001,seed=7", 0,
-			0.056205977314705773, optPosHash, 0.0017578090666666637},
-		{"opt-faults-4lp", sim.Opt(), "drop=0.0001,seed=7", 4,
+		// Fault injection perturbs timing (retransmits) but not physics.
+		{"opt-faults-serial", sim.Opt(), "drop=0.0001,seed=7",
 			0.056205977314705773, optPosHash, 0.0017578090666666637},
 	}
 }
@@ -100,11 +91,6 @@ func TestHaloRefactorEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.SetFaults(faultinject.New(spec))
-			}
-			if pin.lps > 1 {
-				if err := s.SetParallel(pin.lps); err != nil {
-					t.Fatal(err)
-				}
 			}
 			for i := 0; i < 20; i++ {
 				s.Step()

@@ -3,7 +3,6 @@ package sim
 import (
 	"tofumd/internal/halo"
 	"tofumd/internal/health"
-	"tofumd/internal/md/comm"
 	"tofumd/internal/trace"
 	"tofumd/internal/utofu"
 )
@@ -56,10 +55,10 @@ const fallbackK = 3
 // spans all stay on this side of the seam.
 func (s *Simulation) newEngine() *halo.Engine {
 	return &halo.Engine{
-		Fab: s.fab,
-		UTS: s.uts,
-		MPI: s.mpiComm,
-		VCQ: func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcqByTNI[tni] },
+		Fab:   s.fab,
+		UTS:   s.uts,
+		MPI:   s.mpiComm,
+		VCQ:   func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcqByTNI[tni] },
 		Clock: func(rank int) float64 { return s.ranks[rank].Clock },
 		Advance: func(rank int, t float64) {
 			if r := s.ranks[rank]; t > r.Clock {
@@ -118,7 +117,7 @@ func (s *Simulation) runRound(msgs []*rmsg) {
 			Data: m.data, Known: m.known,
 			ReadyAt: m.readyAt,
 		}
-		if s.Var.Transport == comm.TransportUTofu {
+		if s.Var.Transport == halo.TransportUTofu {
 			hm[i].Region, hm[i].DstOff = s.putTarget(m)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"tofumd/internal/des"
 	"tofumd/internal/trace"
 )
 
@@ -23,7 +22,7 @@ import (
 // globally last-finishing segment, always following the predecessor that
 // finished latest, yields the longest dependency chain through the round in
 // virtual time — the critical path. No amount of additional parallelism
-// (more LPs, more TNIs, more threads) can push the round below the path's
+// (more TNIs, more threads) can push the round below the path's
 // span, so TotalWork/PathWork is an Amdahl-style upper bound on achievable
 // speedup, and the segments preceded by the largest slack are where the
 // path is loosest — the first places to look for overlap opportunities.
@@ -71,22 +70,22 @@ type CritPath struct {
 
 // segment is the internal unit of the dependency walk.
 type segment struct {
-	kind                 int // index into segKinds
-	msg                  int
-	start, end           float64
-	res                  resKey
-	hasRes               bool
-	prevStage            int // same-message previous segment index, -1 if none
-	bucket               int // index of res bucket, -1 if none
-	posInBucket          int
-	src, dst, bytes      int
+	kind            int // index into segKinds
+	msg             int
+	start, end      float64
+	res             resKey
+	hasRes          bool
+	prevStage       int // same-message previous segment index, -1 if none
+	bucket          int // index of res bucket, -1 if none
+	posInBucket     int
+	src, dst, bytes int
 }
 
 var segKinds = [4]string{"issue", "tx", "wire", "recv"}
 
 type resKey struct {
-	class   int // 0 = cpu thread, 1 = tni engine, 2 = recv context
-	a, b    int
+	class int // 0 = cpu thread, 1 = tni engine, 2 = recv context
+	a, b  int
 }
 
 // Analyze builds the critical path of a set of recorded messages. The
@@ -316,31 +315,12 @@ func StageShares(spans []trace.SpanEvent) ([]string, []float64) {
 	return names, vals
 }
 
-// Explain renders the full scaling-diagnosis report: the engine's per-LP
-// profile (stats may be nil when the run used the plain serial engine),
-// the MD stage-span shares when recorded, and the critical path of the
-// recorded messages. rec may be nil (no tracing); topK bounds the slack
-// listing.
-func Explain(stats *des.ParallelStats, rec *trace.Recorder, topK int) string {
+// Explain renders the scaling-diagnosis report: the MD stage-span shares
+// when recorded and the critical path of the recorded messages. rec may be
+// nil (no tracing); topK bounds the slack listing.
+func Explain(rec *trace.Recorder, topK int) string {
 	msgs := rec.Messages()
 	var sb strings.Builder
-	if stats != nil && len(stats.LPs) > 0 {
-		fmt.Fprintf(&sb, "Parallel engine: %d LPs, lookahead %.3f us\n", len(stats.LPs), 1e6*stats.Lookahead)
-		granted := stats.Epochs - stats.LookaheadLimited
-		fmt.Fprintf(&sb, "  epochs %d (%d granted, %d lookahead-limited)   events %d   sends %d (%d staged cross-LP)\n",
-			stats.Epochs, granted, stats.LookaheadLimited, stats.TotalEvents(), stats.TotalSends(), stats.TotalStaged())
-		fmt.Fprintf(&sb, "  lp    | events     | epochs   | sends      | staged     | barrier wait (ms)\n")
-		for _, lp := range stats.LPs {
-			fmt.Fprintf(&sb, "  %-5d | %-10d | %-8d | %-10d | %-10d | %.3f\n",
-				lp.LP, lp.Events, lp.Epochs, lp.Sends, lp.Staged, 1e3*lp.BarrierWait)
-		}
-		fmt.Fprintf(&sb, "  load imbalance (max/mean events) %.3f -> speedup bound %.2fx of %d LPs\n",
-			stats.ImbalanceMax(), float64(len(stats.LPs))/stats.ImbalanceMax(), len(stats.LPs))
-		if !stats.Profiled {
-			sb.WriteString("  (barrier-wait wall timing off: enable profiling for wait costs)\n")
-		}
-		sb.WriteString("\n")
-	}
 	if names, vals := StageShares(rec.Spans()); len(names) > 0 {
 		sb.WriteString("MD stage spans (rank-summed virtual ms): ")
 		for i, n := range names {
@@ -358,20 +338,4 @@ func Explain(stats *des.ParallelStats, rec *trace.Recorder, topK int) string {
 		sb.WriteString("No message events recorded: run with tracing to get a critical path.\n")
 	}
 	return sb.String()
-}
-
-// SampleLPCounters appends one counter sample per LP to rec at virtual time
-// t: the per-LP progress tracks of the Chrome export. Callers opt in
-// explicitly (typically once per MD step from a run observer) — nothing in
-// the library emits these automatically, which is what keeps traces
-// byte-identical between profiled and unprofiled runs unless the caller
-// asks for the tracks.
-func SampleLPCounters(rec *trace.Recorder, st des.ParallelStats, t float64) {
-	if rec == nil {
-		return
-	}
-	for _, lp := range st.LPs {
-		rec.Counter(fmt.Sprintf("lp%d events", lp.LP), t, float64(lp.Events))
-		rec.Counter(fmt.Sprintf("lp%d staged", lp.LP), t, float64(lp.Staged))
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"tofumd/internal/des"
 	"tofumd/internal/trace"
 )
 
@@ -123,26 +122,16 @@ func TestAnalyzeDeterministic(t *testing.T) {
 
 func TestReportAndExplain(t *testing.T) {
 	msgs := []trace.MessageEvent{msg(0, 1, 0, 0, 0), msg(1, 0, 1, 0, 2e-6)}
-	st := &des.ParallelStats{
-		Lookahead: 1e-6, Profiled: true, Epochs: 10, LookaheadLimited: 3,
-		LPs: []des.LPStats{
-			{LP: 0, Events: 30, Epochs: 10, Sends: 5, Staged: 2, BarrierWait: 0.001},
-			{LP: 1, Events: 10, Epochs: 10, Sends: 1, Staged: 1, BarrierWait: 0.004},
-		},
-	}
 	rec := trace.NewRecorder()
 	for _, m := range msgs {
 		rec.Message(m)
 	}
 	rec.Span(trace.SpanEvent{Rank: 0, Name: "pair", Stage: "Pair", Step: 1, Start: 0, End: 3e-6})
 	rec.Span(trace.SpanEvent{Rank: 0, Name: "border", Stage: "Comm", Step: 1, Start: 3e-6, End: 4e-6})
-	out := Explain(st, rec, 5)
+	out := Explain(rec, 5)
 	for _, want := range []string{
-		"Parallel engine: 2 LPs",
-		"lookahead-limited",
 		"Critical path over 2 messages",
 		"speedup bound",
-		"load imbalance (max/mean events) 1.500",
 		"MD stage spans",
 		"Pair",
 	} {
@@ -150,13 +139,8 @@ func TestReportAndExplain(t *testing.T) {
 			t.Errorf("Explain missing %q in:\n%s", want, out)
 		}
 	}
-	// Serial run: stats nil, still get the critical path.
-	out = Explain(nil, rec, 5)
-	if strings.Contains(out, "Parallel engine") || !strings.Contains(out, "Critical path") {
-		t.Errorf("serial Explain wrong:\n%s", out)
-	}
 	// No trace: explain says so instead of crashing.
-	out = Explain(st, nil, 5)
+	out = Explain(nil, 5)
 	if !strings.Contains(out, "run with tracing") {
 		t.Errorf("traceless Explain wrong:\n%s", out)
 	}
@@ -179,24 +163,4 @@ func TestStageShares(t *testing.T) {
 	if len(names) != 0 {
 		t.Errorf("empty spans: names = %v", names)
 	}
-}
-
-func TestSampleLPCounters(t *testing.T) {
-	st := des.ParallelStats{LPs: []des.LPStats{
-		{LP: 0, Events: 7, Staged: 2}, {LP: 1, Events: 9, Staged: 4},
-	}}
-	rec := trace.NewRecorder()
-	SampleLPCounters(rec, st, 1e-6)
-	ctrs := rec.Counters()
-	if len(ctrs) != 4 {
-		t.Fatalf("counters = %d, want 4", len(ctrs))
-	}
-	if ctrs[0].Name != "lp0 events" || ctrs[0].Value != 7 {
-		t.Errorf("first sample = %+v", ctrs[0])
-	}
-	if ctrs[3].Name != "lp1 staged" || ctrs[3].Value != 4 {
-		t.Errorf("last sample = %+v", ctrs[3])
-	}
-	// Nil recorder: no-op, no panic.
-	SampleLPCounters(nil, st, 1e-6)
 }

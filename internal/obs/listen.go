@@ -7,8 +7,8 @@
 //     chain through the round in virtual time, and derives an Amdahl-style
 //     bound on achievable parallel speedup;
 //   - the live run-status HTTP endpoint (StatusServer), serving JSON
-//     snapshots of the metrics registry, health-tracker state, current
-//     step and per-LP engine progress while a run is in flight;
+//     snapshots of the metrics registry, health-tracker state and current
+//     step while a run is in flight;
 //   - the shared bind-first HTTP listener helper (Listen/Serve) used by the
 //     -status and -pprof flags of the binaries.
 //

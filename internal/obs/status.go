@@ -5,15 +5,14 @@ import (
 	"net/http"
 	"sync"
 
-	"tofumd/internal/des"
 	"tofumd/internal/health"
 	"tofumd/internal/metrics"
 )
 
 // The live run-status endpoint. A StatusServer holds the latest snapshot of
-// a run in flight — current step, per-LP engine progress, cached health
-// state — and serves it as JSON over HTTP. The run's driver goroutine pushes
-// updates at step boundaries via Observe; HTTP handler goroutines only read
+// a run in flight — current step, cached health state — and serves it as
+// JSON over HTTP. The run's driver goroutine pushes updates at step
+// boundaries via Observe; HTTP handler goroutines only read
 // the cached copy under the server's mutex, so nothing on the request path
 // ever touches simulation state directly. That indirection matters for the
 // health.Tracker in particular: the tracker is NOT concurrency-safe, so
@@ -23,26 +22,6 @@ import (
 // A nil *StatusServer is a valid disabled server (the -status flag off):
 // every method nil-checks the receiver first, so call sites wire it
 // unconditionally.
-
-// LPStatus is one LP's cumulative progress in a Status snapshot.
-type LPStatus struct {
-	LP                 int     `json:"lp"`
-	Events             int64   `json:"events"`
-	Epochs             int64   `json:"epochs"`
-	Sends              int64   `json:"sends"`
-	Staged             int64   `json:"staged"`
-	BarrierWaitSeconds float64 `json:"barrier_wait_seconds"`
-}
-
-// EngineStatus is the parallel engine's progress in a Status snapshot.
-// Absent (null) when the run uses the plain serial engine.
-type EngineStatus struct {
-	Lookahead        float64    `json:"lookahead"`
-	Profiled         bool       `json:"profiled"`
-	Epochs           int64      `json:"epochs"`
-	LookaheadLimited int64      `json:"lookahead_limited"`
-	LPs              []LPStatus `json:"lps"`
-}
 
 // HealthStatus is the cached health-tracker state in a Status snapshot.
 // Absent (null) when the run has no tracker.
@@ -62,7 +41,6 @@ type Status struct {
 	Done  bool   `json:"done"`
 
 	Health *HealthStatus `json:"health"`
-	Engine *EngineStatus `json:"engine"`
 
 	// Metrics is the full registry snapshot, taken at request time (the
 	// registry is concurrency-safe, unlike the tracker).
@@ -77,7 +55,6 @@ type StatusServer struct {
 	step   int
 	steps  int
 	done   bool
-	engine *EngineStatus
 	health *HealthStatus
 	reg    *metrics.Registry
 }
@@ -122,26 +99,11 @@ func (s *StatusServer) SetMetrics(reg *metrics.Registry) {
 
 // Observe pushes a step-boundary update. Call it from the run's driver
 // goroutine only: it reads the (not concurrency-safe) health tracker while
-// caching the fields the endpoint reports. stats and h may be nil (serial
-// engine, no tracker); either clears the corresponding section.
-func (s *StatusServer) Observe(step int, stats *des.ParallelStats, h *health.Tracker) {
+// caching the fields the endpoint reports. h may be nil (no tracker),
+// which clears the health section.
+func (s *StatusServer) Observe(step int, h *health.Tracker) {
 	if s == nil {
 		return
-	}
-	var eng *EngineStatus
-	if stats != nil {
-		eng = &EngineStatus{
-			Lookahead:        stats.Lookahead,
-			Profiled:         stats.Profiled,
-			Epochs:           stats.Epochs,
-			LookaheadLimited: stats.LookaheadLimited,
-		}
-		for _, lp := range stats.LPs {
-			eng.LPs = append(eng.LPs, LPStatus{
-				LP: lp.LP, Events: lp.Events, Epochs: lp.Epochs,
-				Sends: lp.Sends, Staged: lp.Staged, BarrierWaitSeconds: lp.BarrierWait,
-			})
-		}
 	}
 	var hs *HealthStatus
 	if h.Enabled() {
@@ -153,7 +115,6 @@ func (s *StatusServer) Observe(step int, stats *des.ParallelStats, h *health.Tra
 	}
 	s.mu.Lock()
 	s.step = step
-	s.engine = eng
 	s.health = hs
 	s.mu.Unlock()
 }
@@ -176,11 +137,6 @@ func (s *StatusServer) Snapshot() Status {
 	s.mu.Lock()
 	st := Status{
 		Run: s.run, Step: s.step, Steps: s.steps, Done: s.done,
-	}
-	if s.engine != nil {
-		e := *s.engine
-		e.LPs = append([]LPStatus(nil), s.engine.LPs...)
-		st.Engine = &e
 	}
 	if s.health != nil {
 		h := *s.health

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"tofumd/internal/des"
 	"tofumd/internal/health"
 	"tofumd/internal/metrics"
 )
@@ -19,7 +18,7 @@ func TestStatusServerNilIsDisabled(t *testing.T) {
 	s.SetRun("x")
 	s.SetSteps(10)
 	s.SetMetrics(metrics.New())
-	s.Observe(3, &des.ParallelStats{}, nil)
+	s.Observe(3, health.New(0, 0))
 	s.Finish()
 	if got := s.Snapshot(); got.Run != "" || got.Step != 0 || got.Done {
 		t.Errorf("nil snapshot = %+v, want zero", got)
@@ -43,15 +42,8 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 	reg.Counter("fabric_msgs", "utofu").Add(42)
 	s.SetMetrics(reg)
 
-	stats := &des.ParallelStats{
-		Lookahead: 1e-6, Profiled: true, Epochs: 9, LookaheadLimited: 2,
-		LPs: []des.LPStats{
-			{LP: 0, Events: 30, Epochs: 9, Sends: 4, Staged: 1, BarrierWait: 0.002},
-			{LP: 1, Events: 20, Epochs: 9, Sends: 2, Staged: 2, BarrierWait: 0.001},
-		},
-	}
 	h := health.New(0, 0)
-	s.Observe(7, stats, h)
+	s.Observe(7, h)
 
 	rr := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/status", nil))
@@ -67,12 +59,6 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 	}
 	if st.Run != "mdsim" || st.Step != 7 || st.Steps != 100 || st.Done {
 		t.Errorf("header fields wrong: %+v", st)
-	}
-	if st.Engine == nil || len(st.Engine.LPs) != 2 {
-		t.Fatalf("engine section wrong: %+v", st.Engine)
-	}
-	if st.Engine.LPs[0].Events != 30 || st.Engine.LPs[1].BarrierWaitSeconds != 0.001 {
-		t.Errorf("lp rows wrong: %+v", st.Engine.LPs)
 	}
 	if st.Health == nil {
 		t.Fatal("health section missing despite tracker")
@@ -98,10 +84,10 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 
 func TestStatusServerSerialRun(t *testing.T) {
 	s := NewStatus("serial")
-	s.Observe(1, nil, nil) // serial engine, no tracker
+	s.Observe(1, nil) // no tracker
 	st := s.Snapshot()
-	if st.Engine != nil || st.Health != nil {
-		t.Errorf("serial snapshot should have null engine/health: %+v", st)
+	if st.Health != nil {
+		t.Errorf("snapshot without a tracker should have null health: %+v", st)
 	}
 	// Root path serves the same document.
 	rr := httptest.NewRecorder()
@@ -113,11 +99,18 @@ func TestStatusServerSerialRun(t *testing.T) {
 
 func TestStatusServerSnapshotIsCopy(t *testing.T) {
 	s := NewStatus("r")
-	s.Observe(1, &des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 1}}}, nil)
+	h := health.New(1, 2)
+	h.SetTNITotal(6)
+	h.RecordTNIFailure(2, 0)
+	h.RecordTNIFailure(2, 1e-6)
+	s.Observe(1, h)
 	st := s.Snapshot()
-	st.Engine.LPs[0].Events = 999
-	if again := s.Snapshot(); again.Engine.LPs[0].Events != 1 {
-		t.Error("Snapshot aliases internal LP slice")
+	if len(st.Health.QuarantinedTNIs) != 1 || st.Health.QuarantinedTNIs[0] != 2 {
+		t.Fatalf("quarantined TNIs = %v, want [2]", st.Health.QuarantinedTNIs)
+	}
+	st.Health.QuarantinedTNIs[0] = 999
+	if again := s.Snapshot(); again.Health.QuarantinedTNIs[0] != 2 {
+		t.Error("Snapshot aliases internal quarantined-TNI slice")
 	}
 }
 

@@ -75,14 +75,8 @@ func (tr *Transfer) Failed() bool { return tr.Dropped || tr.Nacked }
 
 // Fabric simulates one TofuD allocation: the torus, its nodes' TNIs and the
 // timing of message rounds. A Fabric is not safe for concurrent rounds; the
-// bulk-synchronous simulation runs rounds one at a time.
-//
-// By default a round runs on the serial des.Engine. SetParallel shards the
-// fabric into logical processes (contiguous node blocks) executed by the
-// conservative-PDES des.ParallelEngine; results are bit-identical either
-// way, because all per-round mutable state is partitioned by the node that
-// owns it and only inter-node arrivals cross LPs — always at least one
-// link latency (the engine's lookahead) in the future.
+// bulk-synchronous simulation runs rounds one at a time, each on the
+// fabric's serial des.Engine.
 type Fabric struct {
 	Params Params
 	Map    *topo.RankMap
@@ -102,38 +96,27 @@ type Fabric struct {
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
 	met *fabricMetrics
 
-	// eng is the serial engine; par, when non-nil, replaces it with the
-	// parallel engine selected by SetParallel.
+	// eng runs every round's events.
 	eng des.Engine
-	par *des.ParallelEngine
-	// profile requests barrier-wait wall profiling on the parallel engine
-	// (SetProfiling); remembered here so SetParallel can re-apply it.
-	profile bool
-	// lpOfRank maps each rank to the LP owning its node (parallel only).
-	lpOfRank []int32
-	// state holds the round-scoped mutable maps, sharded one entry per LP
-	// (a single shard for the serial engine). Every key is only touched by
-	// events executing on the shard's LP.
-	state []lpState
+	// state holds the round-scoped mutable maps.
+	state roundState
 
 	// tniFree[node*TNIsPerNode+tni] is the time the TNI engine frees up;
 	// tniLastVCQ tracks the last VCQ served per TNI (unused slot = -1).
-	// Indexed by node, so under the parallel engine each slot is only
-	// touched by the LP owning that node.
 	tniFree    []float64
 	tniLastVCQ []int
 
 	// msgEvs/msgSet buffer one MessageEvent per transfer index during a
 	// round (only while Rec is enabled). Each slot has a single writer (the
 	// transfer's completion or failure event), and the buffered events are
-	// flushed to Rec in transfer order after the round — making trace
-	// output both thread-safe and independent of event interleaving.
+	// flushed to Rec in transfer order after the round, so the trace lists
+	// messages in the caller's order, independent of event interleaving.
 	msgEvs []trace.MessageEvent
 	msgSet []bool
 }
 
-// lpState is one LP's shard of the per-round mutable state.
-type lpState struct {
+// roundState is the per-round mutable state, cleared at every round start.
+type roundState struct {
 	// queues holds the per (rank, thread) FIFO of not-yet-issued transfers.
 	queues map[threadKey][]queuedTransfer
 	// threadFree tracks per (rank, thread) CPU availability within a round.
@@ -169,20 +152,11 @@ type fabricMetrics struct {
 	// abandoned counts events a round left undrained (see RunRound); any
 	// nonzero value is a fabric bug surfaced instead of silently dropped.
 	abandoned *metrics.Counter
-	// reg backs the lazily-sized per-LP engine gauges (publishLPStats): the
-	// LP count is not known at SetMetrics time.
-	reg *metrics.Registry
-	// lpEvents/lpBarrier are per-LP gauges, indexed by LP; limited/epochs
-	// are the engine-wide epoch gauges.
-	lpEvents, lpBarrier []*metrics.Gauge
-	limited, epochs     *metrics.Gauge
 }
 
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
 // Metrics only observe the computed virtual times: timing outputs are
-// bit-identical with metrics on or off. All handles are safe for the
-// parallel engine's worker goroutines (counters are atomic, histograms
-// mutex-protected, and histogram contents are order-independent).
+// bit-identical with metrics on or off.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	if !reg.Enabled() {
 		f.met = nil
@@ -204,40 +178,10 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	m.nacks = reg.Counter("fabric_faults", "nacks")
 	m.faultStalls = reg.Counter("fabric_faults", "stalls")
 	m.abandoned = reg.Counter("des_abandoned_events", "total")
-	m.reg = reg
 	f.met = m
 }
 
-// publishLPStats exports the parallel engine's cumulative profile into the
-// registry after a round: des_lp_events and des_lp_barrier_wait per LP, and
-// the engine-wide epoch gauges. Gauges carry cumulative values, so scraping
-// them mid-run (the -status endpoint) shows monotone progress. Metrics only
-// observe the profile; they never feed back into virtual time.
-func (f *Fabric) publishLPStats() {
-	if f.met == nil || f.par == nil {
-		return
-	}
-	st := f.par.Stats()
-	m := f.met
-	for len(m.lpEvents) < len(st.LPs) {
-		label := fmt.Sprintf("lp%d", len(m.lpEvents))
-		m.lpEvents = append(m.lpEvents, m.reg.Gauge("des_lp_events", label))
-		m.lpBarrier = append(m.lpBarrier, m.reg.Gauge("des_lp_barrier_wait", label))
-	}
-	if m.limited == nil {
-		m.limited = m.reg.Gauge("des_epochs_lookahead_limited", "total")
-		m.epochs = m.reg.Gauge("des_epochs", "total")
-	}
-	for i, lp := range st.LPs {
-		m.lpEvents[i].Set(float64(lp.Events))
-		m.lpBarrier[i].Set(lp.BarrierWait)
-	}
-	m.limited.Set(float64(st.LookaheadLimited))
-	m.epochs.Set(float64(st.Epochs))
-}
-
-// NewFabric builds a fabric over the rank map with the given parameters,
-// using the serial event engine; see SetParallel.
+// NewFabric builds a fabric over the rank map with the given parameters.
 func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	nodes := m.Torus.Nodes()
 	f := &Fabric{
@@ -249,152 +193,22 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	for i := range f.tniLastVCQ {
 		f.tniLastVCQ[i] = -1
 	}
-	f.initShards(1)
+	f.state = roundState{
+		queues:          make(map[threadKey][]queuedTransfer),
+		threadFree:      make(map[threadKey]float64),
+		recvCtxFree:     make(map[threadKey]float64),
+		lastVCQByThread: make(map[threadKey]int),
+	}
 	return f
 }
 
-// initShards (re)builds the per-LP state shards.
-func (f *Fabric) initShards(n int) {
-	f.state = make([]lpState, n)
-	for i := range f.state {
-		f.state[i] = lpState{
-			queues:          make(map[threadKey][]queuedTransfer),
-			threadFree:      make(map[threadKey]float64),
-			recvCtxFree:     make(map[threadKey]float64),
-			lastVCQByThread: make(map[threadKey]int),
-		}
-	}
-}
-
-// SetParallel selects the event engine for subsequent rounds. lps <= 0
-// reverts to the plain serial engine. lps >= 1 partitions the nodes into
-// that many contiguous blocks, one logical process each, executed by the
-// conservative parallel engine with lookahead equal to the minimum
-// inter-node latency — the soonest an event on one node can affect another.
-// lps is clamped to the node count (an LP without nodes would only slow the
-// barrier down). lps == 1 runs the parallel engine's degenerate serial loop
-// (no goroutines, no barriers, bit-identical results) so per-LP profiling
-// (ParallelStats) is available at every LP count, including 1.
-func (f *Fabric) SetParallel(lps int) error {
-	if nodes := f.Map.Torus.Nodes(); lps > nodes {
-		lps = nodes
-	}
-	if lps <= 0 {
-		f.par = nil
-		f.lpOfRank = nil
-		f.initShards(1)
-		return nil
-	}
-	la := f.Params.Lookahead(f.Map.MinInterNodeHops())
-	if lps > 1 && !(la > 0) {
-		return fmt.Errorf("tofu: cannot shard the fabric: non-positive lookahead %g", la)
-	}
-	par, err := des.NewParallel(lps, la)
-	if err != nil {
-		return err
-	}
-	par.SetProfiling(f.profile)
-	nodes := f.Map.Torus.Nodes()
-	f.par = par
-	f.lpOfRank = make([]int32, f.Map.Ranks())
-	for r := range f.lpOfRank {
-		node, _ := f.Map.NodeOf(r)
-		f.lpOfRank[r] = int32(node * lps / nodes)
-	}
-	f.initShards(lps)
-	return nil
-}
-
-// SetProfiling enables barrier-wait wall-clock timing on the parallel
-// engine (current and future ones selected by SetParallel). Profiling never
-// changes virtual times; it only fills ParallelStats.BarrierWait.
-func (f *Fabric) SetProfiling(on bool) {
-	f.profile = on
-	if f.par != nil {
-		f.par.SetProfiling(on)
-	}
-}
-
-// ParallelStats snapshots the parallel engine's cumulative per-LP profile;
-// ok is false under the plain serial engine (SetParallel <= 0 or never
-// called). Safe to call while a round is in flight.
-func (f *Fabric) ParallelStats() (des.ParallelStats, bool) {
-	if f.par == nil {
-		return des.ParallelStats{}, false
-	}
-	return f.par.Stats(), true
-}
-
-// Parallel returns the number of logical processes rounds run on (1 for
-// the serial engine).
-func (f *Fabric) Parallel() int {
-	if f.par == nil {
-		return 1
-	}
-	return f.par.LPs()
-}
-
-// procForRank returns the scheduling surface of the LP owning rank.
-func (f *Fabric) procForRank(rank int) des.Proc {
-	if f.par == nil {
-		return &f.eng
-	}
-	return f.par.LP(int(f.lpOfRank[rank]))
-}
-
-// shardForRank returns the state shard of the LP owning rank.
-func (f *Fabric) shardForRank(rank int) *lpState {
-	if f.par == nil {
-		return &f.state[0]
-	}
-	return &f.state[f.lpOfRank[rank]]
-}
-
-// mustSchedule wraps Proc.ScheduleAt: every time the fabric computes is
+// mustSchedule wraps Engine.ScheduleAt: every time the fabric computes is
 // monotone by construction (costs are non-negative), so a past time is an
 // arithmetic bug that must not be masked by Schedule's clamping.
-func (f *Fabric) mustSchedule(c des.Proc, t float64, fn func()) {
-	if err := c.ScheduleAt(t, fn); err != nil {
+func (f *Fabric) mustSchedule(t float64, fn func()) {
+	if err := f.eng.ScheduleAt(t, fn); err != nil {
 		panic("tofu: " + err.Error())
 	}
-}
-
-// sendAt schedules fn at time t on the LP owning rank, from the event
-// currently executing on c. Serial engine: a plain ScheduleAt. Parallel
-// engine: a cross-LP send, which the engine checks against its lookahead —
-// a violation means the fabric computed an inter-node delivery faster than
-// the minimum link latency, an arithmetic bug worth crashing on.
-func (f *Fabric) sendAt(c des.Proc, rank int, t float64, fn func()) {
-	if f.par == nil {
-		f.mustSchedule(c, t, fn)
-		return
-	}
-	src := c.(*des.LP)
-	if err := src.SendAt(f.par.LP(int(f.lpOfRank[rank])), t, fn); err != nil {
-		panic("tofu: " + err.Error())
-	}
-}
-
-func (f *Fabric) enginePending() int {
-	if f.par != nil {
-		return f.par.Pending()
-	}
-	return f.eng.Pending()
-}
-
-func (f *Fabric) engineReset() {
-	if f.par != nil {
-		f.par.Reset()
-		return
-	}
-	f.eng.Reset()
-}
-
-func (f *Fabric) engineRun(budget int) (float64, error) {
-	if f.par != nil {
-		return f.par.RunBudget(budget)
-	}
-	return f.eng.RunBudget(budget)
 }
 
 // countAbandoned records events stranded in the engine.
@@ -405,8 +219,7 @@ func (f *Fabric) countAbandoned(n int) {
 }
 
 // setTrace buffers the MessageEvent of transfer idx. Each slot is written
-// by exactly one event (the transfer's completion or its failure), so the
-// buffer needs no lock under the parallel engine.
+// by exactly one event (the transfer's completion or its failure).
 func (f *Fabric) setTrace(idx int, ev trace.MessageEvent) {
 	if f.msgEvs == nil {
 		return
@@ -448,8 +261,7 @@ func (f *Fabric) PutLatency(hops int, bytes units.Bytes) float64 {
 // respecting per-thread injection gaps, serialized on their TNI engines, and
 // routed across the torus. Timing outputs are written into the transfers.
 // Virtual time within the round starts at 0; ReadyAt values are relative to
-// the round start. The round is deterministic for a given transfer slice,
-// with either engine.
+// the round start. The round is deterministic for a given transfer slice.
 //
 // RunRound returns an error when the event engine does not drain: events
 // stranded from a previous round (which Reset would silently discard — a
@@ -462,22 +274,20 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		return nil
 	}
 	p := &f.Params
-	if n := f.enginePending(); n != 0 {
+	if n := f.eng.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events stranded from a previous round at round start (%d abandoned)", n, n)
 	}
-	f.engineReset()
+	f.eng.Reset()
 	for i := range f.tniFree {
 		f.tniFree[i] = 0
 		f.tniLastVCQ[i] = -1
 	}
-	for i := range f.state {
-		st := &f.state[i]
-		clear(st.queues)
-		clear(st.threadFree)
-		clear(st.recvCtxFree)
-		clear(st.lastVCQByThread)
-	}
+	st := &f.state
+	clear(st.queues)
+	clear(st.threadFree)
+	clear(st.recvCtxFree)
+	clear(st.lastVCQByThread)
 	// Each RunRound is one fault round: retransmission waves re-run the
 	// round and therefore draw from fresh (seed, round, link) streams.
 	f.Faults.BeginRound()
@@ -496,7 +306,6 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		}
 		tr.Dropped, tr.Nacked = false, false
 		k := threadKey{tr.Src, tr.Thread}
-		st := f.shardForRank(tr.Src)
 		if _, ok := st.queues[k]; !ok {
 			keys = append(keys, k)
 		}
@@ -515,7 +324,6 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 
 	var issueNext func(k threadKey)
 	issueNext = func(k threadKey) {
-		st := f.shardForRank(k.rank)
 		q := st.queues[k]
 		if len(q) == 0 {
 			return
@@ -523,11 +331,10 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		item := q[0]
 		st.queues[k] = q[1:]
 		tr := item.tr
-		c := f.procForRank(k.rank)
-		start := c.Now()
+		start := f.eng.Now()
 		if tr.ReadyAt > start {
 			// The thread idles until the message is packed.
-			f.mustSchedule(c, tr.ReadyAt, func() {
+			f.mustSchedule(tr.ReadyAt, func() {
 				st.queues[k] = append([]queuedTransfer{item}, st.queues[k]...)
 				issueNext(k)
 			})
@@ -548,49 +355,46 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		tr.IssueDone = done
 		st.threadFree[k] = done
 		// Hand the command to the TNI engine at issue completion.
-		f.mustSchedule(c, done, func() { f.transmit(c, item, iface, recvOv, start) })
+		f.mustSchedule(done, func() { f.transmit(item, iface, recvOv, start) })
 		// The thread can issue its next message immediately after.
-		f.mustSchedule(c, done, func() { issueNext(k) })
+		f.mustSchedule(done, func() { issueNext(k) })
 	}
 
 	for _, k := range keys {
 		k := k
-		f.mustSchedule(f.procForRank(k.rank), 0, func() { issueNext(k) })
+		f.mustSchedule(0, func() { issueNext(k) })
 	}
 	// Each transfer contributes a bounded number of events (seed, at most
 	// one ready-wait requeue, issue chain, transmit, receive completion), so
 	// this budget is never reached by a correct round; hitting it means a
 	// scheduling cycle and stops what would otherwise be a livelock.
 	budget := 8*len(transfers) + 8*len(keys) + 64
-	_, runErr := f.engineRun(budget)
+	_, runErr := f.eng.RunBudget(budget)
 	f.flushTrace()
-	f.publishLPStats()
 	if runErr != nil {
-		n := f.enginePending()
+		n := f.eng.Pending()
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: round did not drain (%d events abandoned): %w", n, runErr)
 	}
-	if n := f.enginePending(); n != 0 {
+	if n := f.eng.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events abandoned at end of round", n)
 	}
 	return nil
 }
 
-// transmit serializes the command on the source TNI engine and computes the
-// network arrival time. It executes on c, the LP owning the source rank;
-// everything it touches (TNI slots of the source node, the source shard) is
-// owned by that LP, and the receive completion is forwarded to the LP
-// owning the completion context's rank. issueStart is when the issuing
-// thread started on the command (for stall attribution in the trace).
-func (f *Fabric) transmit(c des.Proc, item queuedTransfer, iface Interface, recvOv, issueStart float64) {
+// transmit serializes the command on the source TNI engine, computes the
+// network arrival time and schedules the receive completion. issueStart is
+// when the issuing thread started on the command (for stall attribution in
+// the trace).
+func (f *Fabric) transmit(item queuedTransfer, iface Interface, recvOv, issueStart float64) {
 	p := &f.Params
 	tr := item.tr
 	srcNode, _ := f.Map.NodeOf(tr.Src)
 	dstNode, _ := f.Map.NodeOf(tr.Dst)
 	idx := srcNode*p.TNIsPerNode + tr.TNI
 
-	txStart := c.Now()
+	txStart := f.eng.Now()
 	if f.tniFree[idx] > txStart {
 		txStart = f.tniFree[idx]
 	}
@@ -717,19 +521,14 @@ func (f *Fabric) transmit(c des.Proc, item queuedTransfer, iface Interface, recv
 	}
 	// The receiver's polling context handles completions one at a time.
 	// For a get, the payload returns to the issuer, whose own context
-	// harvests the TCQ completion. The completion event belongs to (and
-	// executes on) the LP owning the context's rank; for gets and
-	// intra-node puts that is the source's own LP, and the only truly
-	// cross-LP hop — an inter-node arrival — is at least one link latency
-	// (= the engine's lookahead) away.
+	// harvests the TCQ completion.
 	ctx := threadKey{tr.Dst, tr.DstThread}
 	if tr.IsGet {
 		ctx = threadKey{tr.Src, tr.Thread}
 	}
-	rp := f.procForRank(ctx.rank)
-	st := f.shardForRank(ctx.rank)
-	f.sendAt(c, ctx.rank, tr.Arrival, func() {
-		start := rp.Now()
+	st := &f.state
+	f.mustSchedule(tr.Arrival, func() {
+		start := f.eng.Now()
 		if free := st.recvCtxFree[ctx]; free > start {
 			start = free
 		}

@@ -178,17 +178,6 @@ func (p *Params) SendOverhead(i Interface) float64 {
 	return p.UTofuPutOverhead
 }
 
-// Lookahead returns the conservative-PDES lookahead window for a fabric
-// whose closest pair of distinct nodes is minHops apart: the network
-// latency of the shortest inter-node path. No event on one node can affect
-// another node sooner than this, because every inter-node delivery pays at
-// least the base latency plus minHops router traversals — the same formula
-// as Fabric.Latency, kept bit-identical so the parallel engine's lookahead
-// check never rejects a legal minimum-latency arrival.
-func (p *Params) Lookahead(minHops int) float64 {
-	return p.BaseLatency + float64(minHops)*p.HopLatency
-}
-
 // RecvOverhead returns the per-message receiver software cost.
 func (p *Params) RecvOverhead(i Interface) float64 {
 	if i == IfaceMPI {

@@ -122,13 +122,6 @@ func (m *RankMap) Hops(a, b int) int {
 	return m.Torus.Hops(m.Torus.CoordOf(na), m.Torus.CoordOf(nb))
 }
 
-// MinInterNodeHops returns the minimum torus distance between two distinct
-// nodes: 1, since along any axis with more than one node the neighboring
-// coordinate is one router traversal away. It is the hop floor from which
-// the parallel event engine derives its lookahead window; callers with a
-// single node have no inter-node traffic and should not be deriving one.
-func (m *RankMap) MinInterNodeHops() int { return 1 }
-
 // NeighborRank returns the rank id at offset d from rank id in the periodic
 // rank grid.
 func (m *RankMap) NeighborRank(id int, d vec.I3) int {

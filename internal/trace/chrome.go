@@ -19,8 +19,7 @@ import (
 //     of sections 3.1-3.3 are visible as queueing on those tracks;
 //   - one "fabric rounds" process for bulk-synchronous round and collective
 //     spans;
-//   - one "engine counters" process carrying counter tracks (Ph "C"), e.g.
-//     the per-LP progress counters of the scaling-diagnosis layer.
+//   - one "engine counters" process carrying counter tracks (Ph "C").
 //
 // Timestamps are microseconds of virtual time, the unit the paper reports.
 

@@ -1,49 +1,38 @@
 package trace_test
 
 // The Recorder's concurrency contract says every emission method is safe
-// from the parallel engine's LP goroutines. This test drives a real 4-LP
-// des.ParallelEngine whose events emit spans, counters, instants and
-// messages concurrently; run under -race (the CI default) it guards the
-// contract, and the count assertions guard against lost appends.
+// from concurrent goroutines. This test emits spans, counters, instants and
+// messages from several goroutines at once; run under -race (the CI
+// default) it guards the contract, and the count assertions guard against
+// lost appends.
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
-	"tofumd/internal/des"
 	"tofumd/internal/trace"
 )
 
-func TestRecorderConcurrentEmissionFromLPs(t *testing.T) {
-	const lps, perLP = 4, 200
+func TestRecorderConcurrentEmission(t *testing.T) {
+	const workers, perWorker = 4, 200
 	rec := trace.NewRecorder()
-	p, err := des.NewParallel(lps, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < lps; i++ {
-		l := p.LP(i)
-		id := i
-		for j := 0; j < perLP; j++ {
-			at := float64(j) * 1e-7
-			seq := j
-			if err := l.ScheduleAt(at, func() {
-				rec.Span(trace.SpanEvent{Rank: id, Name: "work", Stage: "Other", Step: seq, Start: l.Now(), End: l.Now() + 1e-8})
-				rec.Counter("lp events", l.Now(), float64(seq))
-				rec.Instant(trace.InstantEvent{Rank: id, Name: "tick", Time: l.Now()})
-				rec.Message(trace.MessageEvent{Src: id, Dst: (id + 1) % lps, Bytes: 64, Iface: "utofu"})
-				// Keep the LPs crossing epochs while they emit.
-				dst := p.LP((id + 1) % lps)
-				if err := l.SendAt(dst, l.Now()+p.Lookahead(), func() {}); err != nil {
-					t.Errorf("SendAt: %v", err)
-				}
-			}); err != nil {
-				t.Fatal(err)
+	var wg sync.WaitGroup
+	for id := 0; id < workers; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWorker; j++ {
+				now := float64(j) * 1e-7
+				rec.Span(trace.SpanEvent{Rank: id, Name: "work", Stage: "Other", Step: j, Start: now, End: now + 1e-8})
+				rec.Counter("worker events", now, float64(j))
+				rec.Instant(trace.InstantEvent{Rank: id, Name: "tick", Time: now})
+				rec.Message(trace.MessageEvent{Src: id, Dst: (id + 1) % workers, Bytes: 64, Iface: "utofu"})
 			}
-		}
+		}()
 	}
-	p.Run()
-	want := lps * perLP
+	wg.Wait()
+	want := workers * perWorker
 	if got := len(rec.Spans()); got != want {
 		t.Errorf("spans recorded: %d, want %d", got, want)
 	}

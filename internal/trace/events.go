@@ -83,8 +83,7 @@ type InstantEvent struct {
 
 // CounterSample is one sample of a named counter track (a Ph "C" event in
 // the Chrome export): the track named Name has value Value at virtual time
-// Time. The scaling-diagnosis layer uses these for per-LP progress tracks
-// ("lp3 events" over virtual time).
+// Time.
 type CounterSample struct {
 	Name  string
 	Time  float64
@@ -95,17 +94,15 @@ type CounterSample struct {
 // recorder: every method nil-checks the receiver first.
 //
 // Concurrency contract: every emission method (Message, Span, Round,
-// Instant, Counter) and every accessor is safe to call concurrently — in
-// particular from the parallel engine's LP goroutines and thread-pool
-// workers; the internal mutex is held only for the append. What the mutex
-// does NOT provide is a deterministic order: concurrent emitters append in
-// goroutine-scheduling order. Producers that need byte-identical output
-// across runs must impose their own order — the fabric buffers one
-// MessageEvent per transfer slot (single writer each) during a round and
+// Instant, Counter) and every accessor is safe to call concurrently, e.g.
+// from thread-pool workers; the internal mutex is held only for the append.
+// What the mutex does NOT provide is a deterministic order: concurrent
+// emitters append in goroutine-scheduling order. Producers that need
+// byte-identical output across runs must impose their own order — the
+// fabric buffers one MessageEvent per transfer slot during a round and
 // flushes them in transfer order afterwards, which is why fabric traces are
-// byte-identical across serial/parallel engines and repeat runs. Span and
-// counter emitters in the simulation layer run on the single driver
-// goroutine, so their order is the program order.
+// byte-identical across repeat runs. Span emitters in the simulation layer
+// run on the single driver goroutine, so their order is the program order.
 type Recorder struct {
 	mu    sync.Mutex
 	msgs  []MessageEvent
