@@ -2,6 +2,7 @@ package des
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -320,6 +321,86 @@ func TestMonotoneExecutionProperty(t *testing.T) {
 		return sort.Float64sAreSorted(ran)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: a Queue[int] drained by a dispatch loop and an Engine of
+// closures pop the same random event graph in the same order, and that
+// order is (time, scheduling order). Each event spawns children at now plus
+// a delay of 0, 1 or 2, so equal-time ties are common, including ties
+// between events scheduled while the clock read different values. Event
+// ids count schedule calls, so in a correct run the popped (time, id) pairs
+// rise strictly: an event that sorts earlier than one already popped could
+// only have been scheduled after it, at a later id and no earlier time.
+func TestQueueMatchesEngineProperty(t *testing.T) {
+	const maxEvents = 400
+	f := func(initial []uint8, plan []uint8) bool {
+		if len(plan) == 0 {
+			plan = []uint8{1}
+		}
+		// spawn schedules the children of event id, firing at now.
+		spawn := func(id int, now float64, sched func(float64)) {
+			for j := 0; j < int(plan[id%len(plan)]%3); j++ {
+				sched(now + float64(plan[(id+j+1)%len(plan)]%3))
+			}
+		}
+
+		var e Engine
+		var engineOrder []int
+		var engineTimes []float64
+		next := 0
+		var schedE func(float64)
+		schedE = func(t float64) {
+			if next == maxEvents {
+				return
+			}
+			id := next
+			next++
+			e.Schedule(t, func() {
+				engineOrder = append(engineOrder, id)
+				engineTimes = append(engineTimes, e.Now())
+				spawn(id, e.Now(), schedE)
+			})
+		}
+		for _, tv := range initial {
+			schedE(float64(tv % 4))
+		}
+		e.Run()
+
+		var q Queue[int]
+		var queueOrder []int
+		var queueTimes []float64
+		next = 0
+		schedQ := func(at float64) {
+			if next == maxEvents {
+				return
+			}
+			if err := q.ScheduleAt(at, next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for _, tv := range initial {
+			schedQ(float64(tv % 4))
+		}
+		if _, err := q.RunBudget(0, func(id int) {
+			queueOrder = append(queueOrder, id)
+			queueTimes = append(queueTimes, q.Now())
+			spawn(id, q.Now(), schedQ)
+		}); err != nil {
+			return false
+		}
+		for k := 1; k < len(queueOrder); k++ {
+			if queueTimes[k] < queueTimes[k-1] ||
+				queueTimes[k] == queueTimes[k-1] && queueOrder[k] < queueOrder[k-1] {
+				return false
+			}
+		}
+		return len(queueOrder) == next && slices.Equal(engineOrder, queueOrder) &&
+			slices.Equal(engineTimes, queueTimes) && e.Now() == q.Now() && q.Len() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

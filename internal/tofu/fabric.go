@@ -2,7 +2,8 @@ package tofu
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"tofumd/internal/des"
 	"tofumd/internal/faultinject"
@@ -76,7 +77,7 @@ func (tr *Transfer) Failed() bool { return tr.Dropped || tr.Nacked }
 // Fabric simulates one TofuD allocation: the torus, its nodes' TNIs and the
 // timing of message rounds. A Fabric is not safe for concurrent rounds; the
 // bulk-synchronous simulation runs rounds one at a time, each on the
-// fabric's serial des.Engine.
+// fabric's serial event queue.
 type Fabric struct {
 	Params Params
 	Map    *topo.RankMap
@@ -96,48 +97,89 @@ type Fabric struct {
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
 	met *fabricMetrics
 
-	// eng runs every round's events.
-	eng des.Engine
-	// state holds the round-scoped mutable maps.
+	// eng runs every round's events: typed records, dispatched by fire.
+	eng des.Queue[fabEvent]
+	// state holds the round-scoped state, reset at every round start.
 	state roundState
 
 	// tniFree[node*TNIsPerNode+tni] is the time the TNI engine frees up;
 	// tniLastVCQ tracks the last VCQ served per TNI (unused slot = -1).
 	tniFree    []float64
 	tniLastVCQ []int
-
-	// msgEvs/msgSet buffer one MessageEvent per transfer index during a
-	// round (only while Rec is enabled). Each slot has a single writer (the
-	// transfer's completion or failure event), and the buffered events are
-	// flushed to Rec in transfer order after the round, so the trace lists
-	// messages in the caller's order, independent of event interleaving.
-	msgEvs []trace.MessageEvent
-	msgSet []bool
 }
 
-// roundState is the per-round mutable state, cleared at every round start.
+// Fabric event kinds. Every event is a kind plus an index, so the queue
+// holds no pointers and scheduling allocates nothing.
+const (
+	// evIssue asks thread slot idx to issue its next queued transfer.
+	evIssue uint8 = iota
+	// evIssued fires when the issuing thread is done with transfer idx:
+	// the command goes to the TNI engine (transmit) and the thread starts
+	// on its next transfer (issueNext). The two always fire back to back at
+	// the same time, so one event carries both.
+	evIssued
+	// evRecv is the arrival of transfer idx at its completion context.
+	evRecv
+)
+
+// fabEvent is one queued fabric event.
+type fabEvent struct {
+	kind uint8
+	idx  int32
+}
+
+// roundState is the per-round state. Per-thread state lives in dense slots
+// indexed rank*nt + thread; only the slots a round touches are reset, and
+// every buffer is reused across rounds.
 type roundState struct {
-	// queues holds the per (rank, thread) FIFO of not-yet-issued transfers.
-	queues map[threadKey][]queuedTransfer
-	// threadFree tracks per (rank, thread) CPU availability within a round.
-	threadFree map[threadKey]float64
-	// recvCtxFree tracks per (rank, thread) receive-context availability.
-	recvCtxFree map[threadKey]float64
-	// lastVCQByThread tracks the previous VCQ used by each thread to charge
-	// the VCQ-switch overhead.
-	lastVCQByThread map[threadKey]int
+	// trs and iface are the running round's transfers and interface; trs
+	// is dropped after the round so the caller's transfers are not kept.
+	trs   []*Transfer
+	iface Interface
+	// gap, sendOv and recvOv are the interface's injection gap and send and
+	// receive overheads.
+	gap, sendOv, recvOv float64
+	// nt is the slot stride: 1 + the round's largest Thread or DstThread.
+	nt int
+	// slots[rank*nt+thread] is the state of one (rank, thread) pair.
+	slots []threadSlot
+	// active lists the slots with transfers to issue, in ascending order.
+	active []int32
+	// order holds the transfer indices counting-sorted by issuing slot, in
+	// the caller's order within a slot (the order the comm plan issues
+	// messages): slot s's not-yet-issued FIFO is order[head:end].
+	order []int32
+	// msgs holds the trace-only values of each transfer; it has one entry
+	// per transfer while Rec is enabled and none otherwise.
+	msgs []msgTrace
 }
 
-// queuedTransfer pairs a transfer with its index in the round's slice (the
-// index keys the deterministic trace slot).
-type queuedTransfer struct {
-	tr  *Transfer
-	idx int
+// threadSlot is the per-round state of one (rank, thread) pair. The zero
+// value is the round-start state.
+type threadSlot struct {
+	// head and end delimit the thread's not-yet-issued transfers in order.
+	head, end int32
+	// lastVCQ is the VCQ of the thread's previous issue, set when hasVCQ;
+	// a change charges the VCQ-switch overhead.
+	lastVCQ int
+	hasVCQ  bool
+	// recvFree is when the thread's receive (polling) context frees up.
+	recvFree float64
 }
 
-type threadKey struct {
-	rank, thread int
+// msgTrace holds the timing-chain values of one transfer that only the
+// trace reports. The MessageEvents are built from them and the transfer's
+// outputs after the round and emitted in transfer order, so the trace lists
+// messages in the caller's order, independent of event interleaving.
+type msgTrace struct {
+	issueStart, txStart, txDone float64
+	vcqSwitch                   bool
+	// done marks a transfer that completed or failed; only those are traced.
+	done bool
 }
+
+// slot returns the slot index of (rank, thread) in the current round.
+func (st *roundState) slot(rank, thread int) int32 { return int32(rank*st.nt + thread) }
 
 // fabricMetrics caches the fabric's metric handles so the per-message cost
 // is an atomic add, not a registry lookup. Per-TNI families are indexed by
@@ -193,50 +235,55 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	for i := range f.tniLastVCQ {
 		f.tniLastVCQ[i] = -1
 	}
-	f.state = roundState{
-		queues:          make(map[threadKey][]queuedTransfer),
-		threadFree:      make(map[threadKey]float64),
-		recvCtxFree:     make(map[threadKey]float64),
-		lastVCQByThread: make(map[threadKey]int),
-	}
 	return f
 }
 
-// mustSchedule wraps Engine.ScheduleAt: every time the fabric computes is
-// monotone by construction (costs are non-negative), so a past time is an
-// arithmetic bug that must not be masked by Schedule's clamping.
-func (f *Fabric) mustSchedule(t float64, fn func()) {
-	if err := f.eng.ScheduleAt(t, fn); err != nil {
+// schedule queues an event. Every time the fabric computes is monotone by
+// construction (costs are non-negative), so a past time is an arithmetic
+// bug, which ScheduleAt rejects instead of clamping.
+func (f *Fabric) schedule(t float64, kind uint8, idx int32) {
+	if err := f.eng.ScheduleAt(t, fabEvent{kind: kind, idx: idx}); err != nil {
 		panic("tofu: " + err.Error())
 	}
 }
 
-// countAbandoned records events stranded in the engine.
+// countAbandoned records events stranded in the queue.
 func (f *Fabric) countAbandoned(n int) {
 	if n > 0 && f.met != nil {
 		f.met.abandoned.Add(int64(n))
 	}
 }
 
-// setTrace buffers the MessageEvent of transfer idx. Each slot is written
-// by exactly one event (the transfer's completion or its failure).
-func (f *Fabric) setTrace(idx int, ev trace.MessageEvent) {
-	if f.msgEvs == nil {
-		return
-	}
-	f.msgEvs[idx] = ev
-	f.msgSet[idx] = true
-}
-
-// flushTrace emits the buffered events in transfer order and releases the
-// buffers.
+// flushTrace emits one MessageEvent per completed or failed transfer, in
+// transfer order.
 func (f *Fabric) flushTrace() {
-	for i := range f.msgEvs {
-		if f.msgSet[i] {
-			f.Rec.Message(f.msgEvs[i])
+	st := &f.state
+	b := f.RecBase
+	for i, m := range st.msgs {
+		if !m.done {
+			continue
 		}
+		tr := st.trs[i]
+		srcNode, _ := f.Map.NodeOf(tr.Src)
+		ev := trace.MessageEvent{
+			Src: tr.Src, Dst: tr.Dst, SrcNode: srcNode,
+			TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
+			Bytes: tr.Bytes, Hops: f.Map.Hops(tr.Src, tr.Dst), Iface: st.iface.String(),
+			TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: m.vcqSwitch,
+			Attempt: tr.Attempt, Dropped: tr.Dropped, Nacked: tr.Nacked,
+			ReadyAt: b + tr.ReadyAt, IssueStart: b + m.issueStart,
+			IssueDone: b + tr.IssueDone, TxStart: b + m.txStart, TxDone: b + m.txDone,
+		}
+		// A drop never reaches the receiver; a NACK reaches it but never
+		// completes.
+		if !tr.Dropped {
+			ev.Arrival = b + tr.Arrival
+		}
+		if !tr.Failed() {
+			ev.RecvComplete = b + tr.RecvComplete
+		}
+		f.Rec.Message(ev)
 	}
-	f.msgEvs, f.msgSet = nil, nil
 }
 
 // WireTime returns the bandwidth serialization time of a message.
@@ -263,7 +310,11 @@ func (f *Fabric) PutLatency(hops int, bytes units.Bytes) float64 {
 // Virtual time within the round starts at 0; ReadyAt values are relative to
 // the round start. The round is deterministic for a given transfer slice.
 //
-// RunRound returns an error when the event engine does not drain: events
+// RunRound panics on a malformed transfer: a TNI outside the node's
+// interfaces, a Src or Dst outside the rank map, or a negative Thread or
+// DstThread.
+//
+// RunRound returns an error when the event queue does not drain: events
 // stranded from a previous round (which Reset would silently discard — a
 // lost retransmit timer or in-flight put vanishing without trace), or a
 // round exceeding its event budget (a scheduling cycle). Both increment the
@@ -274,122 +325,175 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		return nil
 	}
 	p := &f.Params
-	if n := f.eng.Pending(); n != 0 {
+	if n := f.eng.Len(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events stranded from a previous round at round start (%d abandoned)", n, n)
+	}
+	ranks := f.Map.Ranks()
+	maxThread := 0
+	for _, tr := range transfers {
+		switch {
+		case tr.TNI < 0 || tr.TNI >= p.TNIsPerNode:
+			panic(fmt.Sprintf("tofu: transfer TNI %d out of range", tr.TNI))
+		case tr.Src < 0 || tr.Src >= ranks:
+			panic(fmt.Sprintf("tofu: transfer Src %d outside [0, %d)", tr.Src, ranks))
+		case tr.Dst < 0 || tr.Dst >= ranks:
+			panic(fmt.Sprintf("tofu: transfer Dst %d outside [0, %d)", tr.Dst, ranks))
+		case tr.Thread < 0:
+			panic(fmt.Sprintf("tofu: transfer Thread %d is negative", tr.Thread))
+		case tr.DstThread < 0:
+			panic(fmt.Sprintf("tofu: transfer DstThread %d is negative", tr.DstThread))
+		}
+		maxThread = max(maxThread, tr.Thread, tr.DstThread)
+	}
+	if maxThread >= math.MaxInt32/ranks {
+		panic(fmt.Sprintf("tofu: thread id %d needs more than 2^31 thread slots over %d ranks", maxThread, ranks))
 	}
 	f.eng.Reset()
 	for i := range f.tniFree {
 		f.tniFree[i] = 0
 		f.tniLastVCQ[i] = -1
 	}
-	st := &f.state
-	clear(st.queues)
-	clear(st.threadFree)
-	clear(st.recvCtxFree)
-	clear(st.lastVCQByThread)
 	// Each RunRound is one fault round: retransmission waves re-run the
 	// round and therefore draw from fresh (seed, round, link) streams.
 	f.Faults.BeginRound()
 
-	if f.Rec.Enabled() {
-		f.msgEvs = make([]trace.MessageEvent, len(transfers))
-		f.msgSet = make([]bool, len(transfers))
-	}
-
-	// Build per-thread FIFO queues preserving the caller's order, which is
-	// the order the comm plan issues messages.
-	var keys []threadKey
-	for i, tr := range transfers {
-		if tr.TNI < 0 || tr.TNI >= p.TNIsPerNode {
-			panic(fmt.Sprintf("tofu: transfer TNI %d out of range", tr.TNI))
-		}
+	st := &f.state
+	st.trs, st.iface, st.nt = transfers, iface, maxThread+1
+	st.gap, st.sendOv, st.recvOv = p.InjectGap(iface), p.SendOverhead(iface), p.RecvOverhead(iface)
+	st.slots = resize(st.slots, ranks*st.nt)
+	// Clear the transfers' fault flags and reset the slots the round
+	// touches: issuing threads (which also harvest their gets'
+	// completions) and receive contexts.
+	for _, tr := range transfers {
 		tr.Dropped, tr.Nacked = false, false
-		k := threadKey{tr.Src, tr.Thread}
-		if _, ok := st.queues[k]; !ok {
-			keys = append(keys, k)
-		}
-		st.queues[k] = append(st.queues[k], queuedTransfer{tr: tr, idx: i})
+		st.slots[st.slot(tr.Src, tr.Thread)] = threadSlot{}
+		st.slots[st.slot(tr.Dst, tr.DstThread)] = threadSlot{}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].rank != keys[j].rank {
-			return keys[i].rank < keys[j].rank
+	// Counting sort of the transfer indices by issuing slot: count, lay out
+	// the active slots in order, then place the indices.
+	st.active = st.active[:0]
+	for _, tr := range transfers {
+		s := st.slot(tr.Src, tr.Thread)
+		if st.slots[s].end == 0 {
+			st.active = append(st.active, s)
 		}
-		return keys[i].thread < keys[j].thread
-	})
-
-	gap := p.InjectGap(iface)
-	sendOv := p.SendOverhead(iface)
-	recvOv := p.RecvOverhead(iface)
-
-	var issueNext func(k threadKey)
-	issueNext = func(k threadKey) {
-		q := st.queues[k]
-		if len(q) == 0 {
-			return
-		}
-		item := q[0]
-		st.queues[k] = q[1:]
-		tr := item.tr
-		start := f.eng.Now()
-		if tr.ReadyAt > start {
-			// The thread idles until the message is packed.
-			f.mustSchedule(tr.ReadyAt, func() {
-				st.queues[k] = append([]queuedTransfer{item}, st.queues[k]...)
-				issueNext(k)
-			})
-			return
-		}
-		if f.met != nil {
-			f.met.stall[iface].Observe(start - tr.ReadyAt)
-		}
-		cost := gap + sendOv
-		if tr.TwoStep {
-			cost += gap // separate length message
-		}
-		if last, ok := st.lastVCQByThread[k]; ok && last != tr.VCQ {
-			cost += p.VCQSwitchOverhead
-		}
-		st.lastVCQByThread[k] = tr.VCQ
-		done := start + cost
-		tr.IssueDone = done
-		st.threadFree[k] = done
-		// Hand the command to the TNI engine at issue completion.
-		f.mustSchedule(done, func() { f.transmit(item, iface, recvOv, start) })
-		// The thread can issue its next message immediately after.
-		f.mustSchedule(done, func() { issueNext(k) })
+		st.slots[s].end++
+	}
+	slices.Sort(st.active)
+	var next int32
+	for _, s := range st.active {
+		sl := &st.slots[s]
+		n := sl.end
+		sl.head, sl.end = next, next
+		next += n
+	}
+	st.order = resize(st.order, len(transfers))
+	for i, tr := range transfers {
+		sl := &st.slots[st.slot(tr.Src, tr.Thread)]
+		st.order[sl.end] = int32(i)
+		sl.end++
+	}
+	if f.Rec.Enabled() {
+		st.msgs = resize(st.msgs, len(transfers))
+		clear(st.msgs)
+	} else {
+		st.msgs = st.msgs[:0]
 	}
 
-	for _, k := range keys {
-		k := k
-		f.mustSchedule(0, func() { issueNext(k) })
+	for _, s := range st.active {
+		f.schedule(0, evIssue, s)
 	}
-	// Each transfer contributes a bounded number of events (seed, at most
-	// one ready-wait requeue, issue chain, transmit, receive completion), so
-	// this budget is never reached by a correct round; hitting it means a
-	// scheduling cycle and stops what would otherwise be a livelock.
-	budget := 8*len(transfers) + 8*len(keys) + 64
-	_, runErr := f.eng.RunBudget(budget)
-	f.flushTrace()
+	// Each slot is seeded once, and each transfer fires at most one
+	// ready-wait issue, one issued and one receive event, so a correct
+	// round drains within this budget; hitting it means a scheduling cycle
+	// and stops what would otherwise be a livelock.
+	budget := 3*len(transfers) + len(st.active)
+	_, runErr := f.eng.RunBudget(budget, f.fire)
+	if f.Rec.Enabled() {
+		f.flushTrace()
+	}
+	st.trs = nil
 	if runErr != nil {
-		n := f.eng.Pending()
+		n := f.eng.Len()
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: round did not drain (%d events abandoned): %w", n, runErr)
 	}
-	if n := f.eng.Pending(); n != 0 {
+	if n := f.eng.Len(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events abandoned at end of round", n)
 	}
 	return nil
 }
 
-// transmit serializes the command on the source TNI engine, computes the
-// network arrival time and schedules the receive completion. issueStart is
-// when the issuing thread started on the command (for stall attribution in
-// the trace).
-func (f *Fabric) transmit(item queuedTransfer, iface Interface, recvOv, issueStart float64) {
+// resize returns s with length n, reallocating only when its capacity is
+// short. Existing elements are kept, not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fire dispatches one fabric event.
+func (f *Fabric) fire(ev fabEvent) {
+	switch ev.kind {
+	case evIssue:
+		f.issueNext(ev.idx)
+	case evIssued:
+		f.transmit(ev.idx)
+		tr := f.state.trs[ev.idx]
+		f.issueNext(f.state.slot(tr.Src, tr.Thread))
+	case evRecv:
+		f.receive(ev.idx)
+	}
+}
+
+// issueNext starts the next queued transfer of thread slot s, if any: the
+// thread pays the injection gap, the send overhead and any VCQ switch, and
+// hands the command to the TNI engine when done.
+func (f *Fabric) issueNext(s int32) {
+	st := &f.state
+	sl := &st.slots[s]
+	if sl.head == sl.end {
+		return
+	}
+	i := st.order[sl.head]
+	tr := st.trs[i]
+	start := f.eng.Now()
+	if tr.ReadyAt > start {
+		// The thread idles until the message is packed; the transfer stays
+		// at the head of its FIFO.
+		f.schedule(tr.ReadyAt, evIssue, s)
+		return
+	}
+	sl.head++
+	if f.met != nil {
+		f.met.stall[st.iface].Observe(start - tr.ReadyAt)
+	}
+	cost := st.gap + st.sendOv
+	if tr.TwoStep {
+		cost += st.gap // separate length message
+	}
+	if sl.hasVCQ && sl.lastVCQ != tr.VCQ {
+		cost += f.Params.VCQSwitchOverhead
+	}
+	sl.lastVCQ, sl.hasVCQ = tr.VCQ, true
+	done := start + cost
+	tr.IssueDone = done
+	if f.Rec.Enabled() {
+		st.msgs[i].issueStart = start
+	}
+	f.schedule(done, evIssued, i)
+}
+
+// transmit serializes transfer i's command on the source TNI engine,
+// computes the network arrival time and schedules the receive completion.
+func (f *Fabric) transmit(i int32) {
 	p := &f.Params
-	tr := item.tr
+	st := &f.state
+	tr := st.trs[i]
+	iface := st.iface
 	srcNode, _ := f.Map.NodeOf(tr.Src)
 	dstNode, _ := f.Map.NodeOf(tr.Dst)
 	idx := srcNode*p.TNIsPerNode + tr.TNI
@@ -441,6 +545,10 @@ func (f *Fabric) transmit(item queuedTransfer, iface Interface, recvOv, issueSta
 	txDone := txStart + busy
 	f.tniFree[idx] = txDone
 	f.tniLastVCQ[idx] = tr.VCQ
+	if f.Rec.Enabled() {
+		m := &st.msgs[i]
+		m.txStart, m.txDone, m.vcqSwitch = txStart, txDone, vcqSwitch
+	}
 
 	if f.met != nil {
 		f.met.msgs[tr.TNI].Inc()
@@ -490,66 +598,38 @@ func (f *Fabric) transmit(item queuedTransfer, iface Interface, recvOv, issueSta
 			}
 		}
 		if f.Rec.Enabled() {
-			hops := 0
-			if srcNode != dstNode {
-				hops = f.Map.Hops(tr.Src, tr.Dst)
-			}
-			b := f.RecBase
-			arrival := 0.0
-			if tr.Nacked {
-				arrival = b + tr.Arrival
-			}
-			f.setTrace(item.idx, trace.MessageEvent{
-				Src: tr.Src, Dst: tr.Dst, SrcNode: srcNode,
-				TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
-				Bytes: tr.Bytes, Hops: hops, Iface: iface.String(),
-				TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: vcqSwitch,
-				Attempt: tr.Attempt, Dropped: tr.Dropped, Nacked: tr.Nacked,
-				ReadyAt: b + tr.ReadyAt, IssueStart: b + issueStart,
-				IssueDone: b + tr.IssueDone, TxStart: b + txStart, TxDone: b + txDone,
-				Arrival: arrival, RecvComplete: 0,
-			})
+			st.msgs[i].done = true
 		}
 		return
 	}
-	cost := recvOv
+	f.schedule(tr.Arrival, evRecv, i)
+}
+
+// receive completes transfer i on its polling context, which handles
+// completions one at a time. For a get, the payload returns to the issuer,
+// whose own context harvests the TCQ completion.
+func (f *Fabric) receive(i int32) {
+	p := &f.Params
+	st := &f.state
+	tr := st.trs[i]
+	cost := st.recvOv
 	if !p.CacheInjection {
 		cost += p.CacheMissPenalty
 	}
 	if tr.TwoStep {
-		cost += recvOv // match the length message too
+		cost += st.recvOv // match the length message too
 	}
-	// The receiver's polling context handles completions one at a time.
-	// For a get, the payload returns to the issuer, whose own context
-	// harvests the TCQ completion.
-	ctx := threadKey{tr.Dst, tr.DstThread}
+	ctx := &st.slots[st.slot(tr.Dst, tr.DstThread)]
 	if tr.IsGet {
-		ctx = threadKey{tr.Src, tr.Thread}
+		ctx = &st.slots[st.slot(tr.Src, tr.Thread)]
 	}
-	st := &f.state
-	f.mustSchedule(tr.Arrival, func() {
-		start := f.eng.Now()
-		if free := st.recvCtxFree[ctx]; free > start {
-			start = free
-		}
-		tr.RecvComplete = start + cost
-		st.recvCtxFree[ctx] = tr.RecvComplete
-		if f.Rec.Enabled() {
-			hops := 0
-			if srcNode != dstNode {
-				hops = f.Map.Hops(tr.Src, tr.Dst)
-			}
-			b := f.RecBase
-			f.setTrace(item.idx, trace.MessageEvent{
-				Src: tr.Src, Dst: tr.Dst, SrcNode: srcNode,
-				TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
-				Bytes: tr.Bytes, Hops: hops, Iface: iface.String(),
-				TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: vcqSwitch,
-				Attempt: tr.Attempt,
-				ReadyAt: b + tr.ReadyAt, IssueStart: b + issueStart,
-				IssueDone: b + tr.IssueDone, TxStart: b + txStart, TxDone: b + txDone,
-				Arrival: b + tr.Arrival, RecvComplete: b + tr.RecvComplete,
-			})
-		}
-	})
+	start := f.eng.Now()
+	if ctx.recvFree > start {
+		start = ctx.recvFree
+	}
+	tr.RecvComplete = start + cost
+	ctx.recvFree = tr.RecvComplete
+	if f.Rec.Enabled() {
+		st.msgs[i].done = true
+	}
 }

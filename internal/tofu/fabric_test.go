@@ -2,6 +2,7 @@ package tofu
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tofumd/internal/faultinject"
@@ -367,6 +368,91 @@ func TestBadTNIPanics(t *testing.T) {
 	f.RunRound([]*Transfer{{Src: 0, Dst: 1, TNI: 99, Bytes: 8}}, IfaceUTofu)
 }
 
+// Dense per-thread slots index on Src, Dst, Thread and DstThread, so a
+// malformed value must be rejected before the round runs, and the fabric
+// must stay usable after the panic.
+func TestMalformedTransferPanics(t *testing.T) {
+	f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
+	ranks := f.Map.Ranks()
+	for _, c := range []struct {
+		field string
+		tr    Transfer
+	}{
+		{"Src", Transfer{Src: ranks, Dst: 0}},
+		{"Dst", Transfer{Src: 0, Dst: -1}},
+		{"Thread", Transfer{Src: 0, Dst: 1, Thread: -1}},
+		{"DstThread", Transfer{Src: 0, Dst: 1, DstThread: -2}},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			tr := c.tr
+			tr.Bytes = 8
+			func() {
+				defer func() {
+					r := recover()
+					if msg, _ := r.(string); !strings.Contains(msg, "transfer "+c.field+" ") {
+						t.Fatalf("panic = %v, want one naming %s", r, c.field)
+					}
+				}()
+				f.RunRound([]*Transfer{{Src: 1, Dst: 2, Bytes: 8}, &tr}, IfaceUTofu)
+			}()
+			ok := &Transfer{Src: 0, Dst: 1, Bytes: 8}
+			if err := f.RunRound([]*Transfer{ok}, IfaceUTofu); err != nil || ok.RecvComplete <= 0 {
+				t.Fatalf("round after the panic: err=%v RecvComplete=%v", err, ok.RecvComplete)
+			}
+		})
+	}
+}
+
+// A thread whose head transfer is not packed yet idles: transfers queued
+// behind it on the same thread must not overtake it, even when ready.
+func TestReadyWaitHeadOfLine(t *testing.T) {
+	f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
+	rec := trace.NewRecorder()
+	f.Rec = rec
+	dst := f.Map.NeighborRank(0, vec.I3{X: 2})
+	trs := []*Transfer{
+		{Src: 0, Dst: dst, TNI: 0, VCQ: 1, Bytes: 64, ReadyAt: 1e-6},
+		{Src: 0, Dst: dst, TNI: 1, VCQ: 1, Bytes: 64},
+	}
+	if err := f.RunRound(trs, IfaceUTofu); err != nil {
+		t.Fatal(err)
+	}
+	msgs := rec.Messages()
+	if msgs[0].IssueStart != 1e-6 {
+		t.Errorf("first transfer issued at %v, want its ReadyAt 1e-6", msgs[0].IssueStart)
+	}
+	if msgs[1].IssueStart != trs[0].IssueDone {
+		t.Errorf("second transfer issued at %v, want the first's IssueDone %v",
+			msgs[1].IssueStart, trs[0].IssueDone)
+	}
+}
+
+// After one warm-up round the fabric reuses every buffer: a round without a
+// recorder allocates nothing, with metrics off or on.
+func TestRoundAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, withMetrics := range []bool{false, true} {
+		f := testFabric(t, vec.I3{X: 4, Y: 4, Z: 4})
+		if withMetrics {
+			f.SetMetrics(metrics.New())
+		}
+		trs := haloRound(f)
+		if err := f.RunRound(trs, IfaceUTofu); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := f.RunRound(trs, IfaceUTofu); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("metrics=%v: %v allocations per round, want 0", withMetrics, allocs)
+		}
+	}
+}
+
 func TestCacheInjectionSavesReceiveTime(t *testing.T) {
 	f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
 	dst := f.Map.NeighborRank(0, vec.I3{X: 2, Y: 0, Z: 0})
@@ -545,8 +631,11 @@ func BenchmarkRunRoundP2P(b *testing.B) {
 		return out
 	}
 	trs := mk()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.RunRound(trs, IfaceUTofu)
+		if err := f.RunRound(trs, IfaceUTofu); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

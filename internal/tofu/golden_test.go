@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
+	"tofumd/internal/faultinject"
 	"tofumd/internal/metrics"
+	"tofumd/internal/trace"
 	"tofumd/internal/vec"
 )
 
@@ -127,6 +130,60 @@ func TestMixedRoundGolden(t *testing.T) {
 		}
 		if got := reg.Counter("des_abandoned_events", "total").Value(); got != 0 {
 			t.Errorf("%v: des_abandoned_events = %v, want 0", c.iface, got)
+		}
+	}
+}
+
+// TestTracedRoundGolden pins every MessageEvent of the traced mixed round,
+// for both interfaces, fault-free and under transient faults (drops, NACKs,
+// stalls, degradation). The trace carries the intermediate timing chain
+// (IssueStart, TxStart, TxDone, VCQSwitch) that the transfer digests above
+// do not see, so this catches a change in how the fabric tracks those
+// values even when the transfer outputs stay put.
+func TestTracedRoundGolden(t *testing.T) {
+	const faults = "drop=0.05,nack=0.05,stall=0.05@1e-7,degrade=0.2@3x1e-6,seed=7"
+	for _, c := range []struct {
+		iface  Interface
+		faults string
+		want   string
+	}{
+		{IfaceUTofu, "", "cd091b7f89dca43bdc2b22d4bc88418ffd5b819cda973f7b30597ca55ddfa897"},
+		{IfaceMPI, "", "d13542981bdee39f8fea2f4442810be3711d20a3cfe6cc6b6e227b53c6e38906"},
+		{IfaceUTofu, faults, "1f1c8123677a3b14fe5479fea319576fdbead8dd8afd3eee06eeffc913a53676"},
+		{IfaceMPI, faults, "70ba8294bfcfc14e073806e9f1c6a13f62e3aa48c7dbe8cffafa3f1f99beeda2"},
+	} {
+		f := testFabric(t, vec.I3{X: 4, Y: 4, Z: 4})
+		spec, err := faultinject.ParseSpec(c.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Enabled() {
+			f.Faults = faultinject.New(spec)
+		}
+		rec := trace.NewRecorder()
+		f.Rec = rec
+		f.RecBase = 1e-6
+		trs := mixedRound(f, c.iface)
+		if err := f.RunRound(trs, c.iface); err != nil {
+			t.Fatalf("%v %q: %v", c.iface, c.faults, err)
+		}
+		msgs := rec.Messages()
+		if len(msgs) != len(trs) {
+			t.Fatalf("%v %q: traced %d messages, want %d", c.iface, c.faults, len(msgs), len(trs))
+		}
+		failed := 0
+		h := sha256.New()
+		for _, m := range msgs {
+			fmt.Fprintf(h, "%+v\n", m)
+			if m.Dropped || m.Nacked {
+				failed++
+			}
+		}
+		if (failed > 0) != spec.Enabled() {
+			t.Errorf("%v %q: %d failed messages", c.iface, c.faults, failed)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%v %q: traced round digest = %s, want %s", c.iface, c.faults, got, c.want)
 		}
 	}
 }
