@@ -208,21 +208,44 @@ type Running struct {
 // Start builds the simulation a spec describes without stepping it. The
 // caller owns Close; Finish summarizes whatever has been stepped so far.
 func Start(spec RunSpec) (*Running, error) {
+	s, cfg, err := newSim(spec)
+	if err != nil {
+		return nil, err
+	}
+	steps := spec.Steps
+	if steps == 0 {
+		steps = spec.Workload.Steps
+	}
+	if spec.Recorder != nil {
+		s.SetRecorder(spec.Recorder)
+	}
+	if spec.Metrics != nil {
+		s.SetMetrics(spec.Metrics)
+	}
+	if spec.Faults.Enabled() {
+		s.SetFaults(faultinject.New(spec.Faults))
+	}
+	return &Running{spec: spec, cfg: cfg, s: s, steps: steps}, nil
+}
+
+// newSim builds the machine, configuration and simulation a spec
+// describes: the tile holds the full machine's per-rank atom load, and
+// collectives are charged at the full rank count.
+func newSim(spec RunSpec) (*sim.Simulation, sim.Config, error) {
 	mode := topo.MapTopo
 	if spec.LinearMap {
 		mode = topo.MapLinear
 	}
 	m, err := sim.NewMachineMode(spec.TileShape, mode)
 	if err != nil {
-		return nil, err
+		return nil, sim.Config{}, err
 	}
 	cfg, err := BaseConfig(spec.Workload.Kind)
 	if err != nil {
-		return nil, err
+		return nil, sim.Config{}, err
 	}
 	fullRanks := spec.Workload.FullShape.Prod() * m.Map.RanksPerNode()
-	tileRanks := m.Map.Ranks()
-	tileAtoms := int(float64(spec.Workload.Atoms) * float64(tileRanks) / float64(fullRanks))
+	tileAtoms := int(float64(spec.Workload.Atoms) * float64(m.Map.Ranks()) / float64(fullRanks))
 	cfg.Cells = lattice.CellsForAtomsOnGrid(tileAtoms, m.Map.Grid)
 	cfg.ScaleRanks = fullRanks
 	cfg.ThermoEvery = spec.ThermoEvery
@@ -235,29 +258,16 @@ func Start(spec RunSpec) (*Running, error) {
 		cfg.Potential = lj
 		cfg.NewtonOn = false
 	}
-	steps := spec.Steps
-	if steps == 0 {
-		steps = spec.Workload.Steps
-	}
 	if spec.Restart != nil {
 		if err := spec.Restart.Apply(&cfg); err != nil {
-			return nil, err
+			return nil, sim.Config{}, err
 		}
 	}
 	s, err := sim.New(m, spec.Variant, cfg)
 	if err != nil {
-		return nil, err
+		return nil, sim.Config{}, err
 	}
-	if spec.Recorder != nil {
-		s.SetRecorder(spec.Recorder)
-	}
-	if spec.Metrics != nil {
-		s.SetMetrics(spec.Metrics)
-	}
-	if spec.Faults.Enabled() {
-		s.SetFaults(faultinject.New(spec.Faults))
-	}
-	return &Running{spec: spec, cfg: cfg, s: s, steps: steps}, nil
+	return s, cfg, nil
 }
 
 // Step advances one MD step and invokes the spec's Observer, if any.
@@ -316,26 +326,7 @@ func Run(spec RunSpec) (*RunResult, error) {
 // Plan builds the simulation the spec describes and returns its static
 // halo neighbor-plan summary without stepping it.
 func Plan(spec RunSpec) (string, error) {
-	mode := topo.MapTopo
-	if spec.LinearMap {
-		mode = topo.MapLinear
-	}
-	m, err := sim.NewMachineMode(spec.TileShape, mode)
-	if err != nil {
-		return "", err
-	}
-	cfg, err := BaseConfig(spec.Workload.Kind)
-	if err != nil {
-		return "", err
-	}
-	fullRanks := spec.Workload.FullShape.Prod() * m.Map.RanksPerNode()
-	tileAtoms := int(float64(spec.Workload.Atoms) * float64(m.Map.Ranks()) / float64(fullRanks))
-	cfg.Cells = lattice.CellsForAtomsOnGrid(tileAtoms, m.Map.Grid)
-	cfg.ScaleRanks = fullRanks
-	if spec.NewtonOff {
-		cfg.NewtonOn = false
-	}
-	s, err := sim.New(m, spec.Variant, cfg)
+	s, _, err := newSim(spec)
 	if err != nil {
 		return "", err
 	}

@@ -207,3 +207,33 @@ func TestKindString(t *testing.T) {
 		t.Error("kind names")
 	}
 }
+
+// TestPlanMatchesStart checks that the halo plan Plan prints is the plan of
+// the simulation Start builds, for every spec knob that reshapes the link
+// graph or the rank map.
+func TestPlanMatchesStart(t *testing.T) {
+	base := RunSpec{Workload: LJSmall(), TileShape: vec.I3{X: 2, Y: 2, Z: 2}, Variant: sim.Opt()}
+	fullList, newtonOff, linearMap := base, base, base
+	fullList.FullList = true
+	newtonOff.NewtonOff = true
+	linearMap.LinearMap = true
+	for _, tc := range []struct {
+		name string
+		spec RunSpec
+	}{{"default", base}, {"full-list", fullList}, {"newton-off", newtonOff}, {"linear-map", linearMap}} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := Plan(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Start(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if want := r.Sim().HaloPlan(); plan != want {
+				t.Errorf("Plan:\n%s\nStart's simulation:\n%s", plan, want)
+			}
+		})
+	}
+}

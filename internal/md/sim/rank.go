@@ -51,11 +51,19 @@ type link struct {
 	revBuf []byte
 }
 
-// commRes is the TNI/thread/VCQ assignment of one sending side.
+// commRes is the TNI/thread assignment of one sending side.
 type commRes struct {
 	thread int
 	tni    int
-	vcqTag int
+}
+
+// inboxOf returns the receive buffers behind an inbox kind: the forward
+// inbox on dst, or the reverse inbox on src.
+func (l *link) inboxOf(k inboxKind) *halo.Inbox {
+	if k == inboxRev {
+		return l.revInbox
+	}
+	return l.inbox
 }
 
 // bytesFwd returns the forward-direction wire size for a per-atom payload
@@ -111,13 +119,11 @@ type Rank struct {
 	// exchScratch buffers migrating atoms per destination rank.
 	exchScratch map[int][]exchRecord
 
-	// registered tracks whether setup-time registration has been charged.
+	// maxAtomsEstimate is the theoretical maximum of atoms (locals plus
+	// ghost shell) the rank may hold: the pre-registration size of its
+	// position array (section 3.4).
 	maxAtomsEstimate int
 }
-
-// ghostRangeOf returns the ghost index range [start, start+count) that dst
-// received over l.
-func (l *link) ghostRange() (int, int) { return l.recvStart, l.recvCount }
 
 // resetPlan clears the per-reneighbor link state of a rank's send links.
 func (r *Rank) resetPlan() {
@@ -160,7 +166,8 @@ func (r *Rank) totalSendBytes(perAtom int) int {
 	return total
 }
 
-// neighborPairKey orders links deterministically.
+// linkLess orders links deterministically: by 3-stage dimension and
+// iteration, then by direction.
 func linkLess(a, b *link) bool {
 	if a.stage3Dim != b.stage3Dim {
 		return a.stage3Dim < b.stage3Dim

@@ -7,32 +7,17 @@ import (
 	"tofumd/internal/utofu"
 )
 
-// rmsg is one message of a bulk-synchronous communication round, carrying
-// absolute virtual times.
-type rmsg struct {
-	src, dst *Rank
+// msg is one message of a bulk-synchronous communication round: the halo
+// engine's message plus the link it travels on and its uTofu destination.
+// The batch hands the embedded halo.Msg to the engine directly, so the
+// engine's completion times land where the receiver unpacks.
+type msg struct {
+	halo.Msg
 	// link is the channel; nil for exchange-stage messages.
 	link *link
-	// res is the sender-side communication resource.
-	res commRes
-	// dstThread is the receiver-side polling context.
-	dstThread int
-	// data is the payload.
-	data []byte
-	// known marks length-known messages (forward/reverse reuse border
-	// lists); unknown-length messages pay the MPI two-step protocol.
-	known bool
-	// inboxDst selects the uTofu destination: the link's forward inbox,
+	// inbox selects the uTofu destination: the link's forward inbox,
 	// reverse inbox, or the pre-registered position array.
-	inboxDst inboxKind
-	// dstOff is the byte offset for direct-to-array puts.
-	dstOff int
-	// readyAt is the absolute sender time the payload is packed.
-	readyAt float64
-
-	// complete is the absolute receiver completion; issueDone the absolute
-	// sender CPU-free time.
-	complete, issueDone float64
+	inbox inboxKind
 }
 
 // inboxKind selects the uTofu destination region of a message.
@@ -101,46 +86,40 @@ func (s *Simulation) newEngine() *halo.Engine {
 	}
 }
 
-// runRound executes the messages through the variant's transport and
-// advances the participating ranks' clocks to their completion times.
-// Payload delivery is functional: after the call, receivers read the data
-// from the rmsg (the caller unpacks).
-func (s *Simulation) runRound(msgs []*rmsg) {
-	if len(msgs) == 0 {
-		return
-	}
-	hm := make([]*halo.Msg, len(msgs))
-	for i, m := range msgs {
-		hm[i] = &halo.Msg{
-			Src: m.src.ID, Dst: m.dst.ID,
-			Thread: m.res.thread, DstThread: m.dstThread, TNI: m.res.tni,
-			Data: m.data, Known: m.known,
-			ReadyAt: m.readyAt,
-		}
-		if s.Var.Transport == halo.TransportUTofu {
-			hm[i].Region, hm[i].DstOff = s.putTarget(m)
+// runRound executes a batch through transport t and advances the
+// participating ranks' clocks to their completion times. Payload delivery
+// is functional: after the call, receivers read the data from their
+// messages (the caller unpacks).
+func (s *Simulation) runRound(t halo.Transport, b *batch) {
+	if t == halo.TransportUTofu {
+		for _, ms := range b.byDst {
+			for _, m := range ms {
+				m.Region = s.putRegion(m)
+			}
 		}
 	}
-	s.eng.RunRound(s.Var.Transport, hm)
-	for i, m := range msgs {
-		m.readyAt = hm[i].ReadyAt
-		m.complete = hm[i].Complete
-		m.issueDone = hm[i].IssueDone
-	}
+	s.eng.RunRound(t, b.msgs)
 }
 
-// putTarget resolves the destination region and offset of a uTofu message.
-func (s *Simulation) putTarget(m *rmsg) (*utofu.MemRegion, int) {
-	switch m.inboxDst {
-	case inboxXArray:
-		return s.xRegion[m.dst.ID], m.dstOff
-	case inboxRev:
-		ib := m.link.revInbox
-		return ib.Regions[m.link.seq%4], 0
-	default:
-		ib := m.link.inbox
-		return ib.Regions[m.link.seq%4], 0
+// putRegion resolves the uTofu destination region of a message; DstOff is
+// already set (non-zero only for direct-to-array puts).
+func (s *Simulation) putRegion(m *msg) *utofu.MemRegion {
+	if m.inbox == inboxXArray {
+		return s.xRegion[m.Dst]
 	}
+	return m.link.inboxOf(m.inbox).Regions[m.link.seq%4]
+}
+
+// deliver copies a uTofu payload into the receiver's registered inbox
+// buffer, making the round-robin rotation functional: the receiver decodes
+// from its own registered buffer, not the sender's scratch.
+func (s *Simulation) deliver(m *msg) {
+	if s.Var.Transport != halo.TransportUTofu || m.inbox == inboxXArray {
+		return
+	}
+	buf := m.link.inboxOf(m.inbox).Bufs[m.link.seq%4]
+	copy(buf, m.Data)
+	m.Data = buf[:len(m.Data)]
 }
 
 // ensureInbox grows (and re-registers) an inbox to hold at least need

@@ -167,7 +167,7 @@ type Simulation struct {
 	SetupTime float64
 	// Thermo holds the recorded outputs.
 	Thermo []ThermoSample
-	// lastDangerous counts check-yes rebuild triggers.
+	// Rebuilds counts neighbor-list builds, setup's included.
 	Rebuilds int
 }
 
@@ -216,6 +216,7 @@ func New(m *Machine, v Variant, cfg Config) (*Simulation, error) {
 	s.uts = utofu.NewSystem(s.fab)
 	s.mpiComm = mpi.NewComm(s.fab)
 	s.mpiComm.CombineLength = v.CombineLength
+	s.mpiComm.Now = s.Now
 	s.fb = halo.NewFallback(fallbackK)
 	s.health = health.New(0, 0)
 	s.health.SetTNITotal(m.Params.TNIsPerNode)
@@ -251,12 +252,7 @@ func New(m *Machine, v Variant, cfg Config) (*Simulation, error) {
 func (s *Simulation) SetRecorder(rec *trace.Recorder) {
 	s.rec = rec
 	s.fab.Rec = rec
-	s.mpiComm.Rec = rec
 	s.health.SetRecorder(rec)
-	s.mpiComm.Now = s.Now
-	if rec == nil {
-		s.mpiComm.Now = nil
-	}
 }
 
 // Now returns the simulation's current virtual time: the slowest rank's
@@ -616,7 +612,7 @@ func (s *Simulation) assignResourcesOver(tnis []int) {
 				specs, len(links), s.M.Params.LinkBandwidth, s.M.Params.HopLatency)
 			threads := make([]int, len(links))
 			for i, l := range links {
-				*pick(l) = commRes{thread: res[i].Thread, tni: res[i].TNI, vcqTag: 0}
+				*pick(l) = commRes{thread: res[i].Thread, tni: res[i].TNI}
 				threads[i] = res[i].Thread
 			}
 			return threads

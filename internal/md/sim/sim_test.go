@@ -269,3 +269,55 @@ func TestStageBreakdownPopulated(t *testing.T) {
 		}
 	}
 }
+
+// TestThermoAllreduceTraced checks that each thermo sample of a traced run
+// records exactly one allreduce round, starting at the simulation frontier
+// when the collective is issued (the slowest rank after its thermo gather)
+// and ending where the thermo stage leaves every rank.
+func TestThermoAllreduceTraced(t *testing.T) {
+	cfg := ljConfig()
+	cfg.ThermoEvery = 5
+	s := newSim(t, Opt(), cfg)
+	rec := trace.NewRecorder()
+	s.SetRecorder(rec)
+	s.Run(10)
+
+	var rounds []trace.RoundEvent
+	for _, ev := range rec.Rounds() {
+		if ev.Kind == "allreduce" {
+			rounds = append(rounds, ev)
+		}
+	}
+	samples := s.Thermo[1:] // the setup sample is taken before tracing
+	if len(samples) != 2 || len(rounds) != len(samples) {
+		t.Fatalf("%d allreduce rounds for %d traced thermo samples, want 2 and 2", len(rounds), len(samples))
+	}
+	for i, smp := range samples {
+		// Rebuild the frontier at the allreduce from the thermo spans: each
+		// rank enters the stage at span Start and gathers for ThermoTime.
+		var now float64
+		ends := 0
+		for _, sp := range rec.Spans() {
+			if sp.Name != "thermo" || sp.Step != smp.Step {
+				continue
+			}
+			r := s.ranks[sp.Rank]
+			if at := sp.Start + s.M.Cost.ThermoTime(r.Atoms.NLocal); at > now {
+				now = at
+			}
+			if sp.End != rounds[i].End {
+				t.Errorf("step %d rank %d: thermo ends at %g, allreduce at %g", smp.Step, sp.Rank, sp.End, rounds[i].End)
+			}
+			ends++
+		}
+		if ends != len(s.ranks) {
+			t.Fatalf("step %d: %d thermo spans, want %d", smp.Step, ends, len(s.ranks))
+		}
+		if rounds[i].Start != now {
+			t.Errorf("step %d: allreduce Start = %.17g, frontier %.17g", smp.Step, rounds[i].Start, now)
+		}
+		if !(rounds[i].End > rounds[i].Start) {
+			t.Errorf("step %d: allreduce End %g not after Start %g", smp.Step, rounds[i].End, rounds[i].Start)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sort"
+
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
 	"tofumd/internal/md/neighbor"
@@ -30,32 +32,143 @@ func inRound(l *link, k halo.RoundKey) bool {
 	return halo.InRound(l.stage3Dim, l.stage3Iter, k)
 }
 
-// linksOfRound returns the send links of rank r belonging to round k, in
-// deterministic order.
-func linksOfRound(r *Rank, k halo.RoundKey) []*link {
-	var out []*link
-	for _, l := range r.sendLinks {
-		if inRound(l, k) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// batch collects a round's messages with a per-receiver index so unpacking
-// stays linear in the message count.
+// batch collects a round's messages: msgs is what the halo engine runs,
+// byDst indexes them per receiver so unpacking stays linear in the message
+// count.
 type batch struct {
-	msgs  []*rmsg
-	byDst [][]*rmsg
+	msgs  []*halo.Msg
+	byDst [][]*msg
 }
 
 func (s *Simulation) newBatch() *batch {
-	return &batch{byDst: make([][]*rmsg, len(s.ranks))}
+	return &batch{byDst: make([][]*msg, len(s.ranks))}
 }
 
-func (b *batch) add(m *rmsg) {
-	b.msgs = append(b.msgs, m)
-	b.byDst[m.dst.ID] = append(b.byDst[m.dst.ID], m)
+func (b *batch) add(m *msg) {
+	b.msgs = append(b.msgs, &m.Msg)
+	b.byDst[m.Dst] = append(b.byDst[m.Dst], m)
+}
+
+// linkMsg builds the message sent over l: owner to ghost holder into the
+// forward inbox or, for rev, ghost holder back to owner into the reverse
+// inbox. The caller stamps ReadyAt.
+func linkMsg(l *link, rev bool, data []byte, known bool) *msg {
+	res, from, to, peerThread, inbox := l.fwd, l.src, l.dst, l.rev.thread, inboxFwd
+	if rev {
+		res, from, to, peerThread, inbox = l.rev, l.dst, l.src, l.fwd.thread, inboxRev
+	}
+	return &msg{
+		Msg: halo.Msg{
+			Src: from.ID, Dst: to.ID,
+			Thread: res.thread, DstThread: peerThread, TNI: res.tni,
+			Data: data, Known: known,
+		},
+		link: l, inbox: inbox,
+	}
+}
+
+// --- the halo pass ------------------------------------------------------
+
+// haloPass is one ghost-communication stage: the direction it ships in,
+// its payload codec, and the section 3.4 options that set the forward
+// stage apart. Every stage (border, forward, reverse and the EAM scalar
+// exchanges) packs, ships and unpacks through haloRound.
+type haloPass struct {
+	// rev ships from ghost holders back to owners over the receive links,
+	// running the rounds in reverse so 3-stage contributions cascade home.
+	rev bool
+	// known marks length-known messages (the pass reuses the border
+	// lists); unknown-length messages pay the MPI two-step protocol.
+	known bool
+	// direct writes payloads straight into the receiver's pre-registered
+	// position array: no inbox, no unpack copy.
+	direct bool
+	// skipEmptyUnpack charges no unpack time to a receiver of 0 bytes.
+	skipEmptyUnpack bool
+	// pack encodes rank r's payload for l into buf; unpack decodes the
+	// data r received over l.
+	pack   func(r *Rank, l *link, buf []byte) []byte
+	unpack func(r *Rank, l *link, data []byte)
+}
+
+// links returns the links rank r sends on in this pass.
+func (p *haloPass) links(r *Rank) []*link {
+	if p.rev {
+		return r.recvLinks
+	}
+	return r.sendLinks
+}
+
+// buf returns the sender's packing scratch of l in this pass.
+func (p *haloPass) buf(l *link) *[]byte {
+	if p.rev {
+		return &l.revBuf
+	}
+	return &l.sendBuf
+}
+
+// runPass executes every round of the pass, in reverse order for rev.
+func (s *Simulation) runPass(p *haloPass) {
+	rounds := s.commRounds()
+	for i := range rounds {
+		k := rounds[i]
+		if p.rev {
+			k = rounds[len(rounds)-1-i]
+		}
+		s.haloRound(p, k)
+	}
+}
+
+// haloRound packs, ships and unpacks the messages of round k, charging
+// pack and unpack time to the ranks.
+func (s *Simulation) haloRound(p *haloPass, k halo.RoundKey) {
+	packTh := s.packThreading()
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		bytes := 0
+		for _, l := range p.links(r) {
+			if inRound(l, k) {
+				buf := p.buf(l)
+				*buf = p.pack(r, l, *buf)
+				bytes += len(*buf)
+			}
+		}
+		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
+	})
+	// Serial: ensureInbox charges the receiver's clock, which a later
+	// sender's ReadyAt may read.
+	b := s.newBatch()
+	for _, r := range s.ranks {
+		for _, l := range p.links(r) {
+			if !inRound(l, k) {
+				continue
+			}
+			m := linkMsg(l, p.rev, *p.buf(l), p.known)
+			if p.direct {
+				m.inbox, m.DstOff = inboxXArray, l.recvStart*posBytes
+			} else if s.Var.Transport == halo.TransportUTofu {
+				s.ensureInbox(s.ranks[m.Dst], l.inboxOf(m.inbox), len(m.Data))
+			}
+			m.ReadyAt = r.Clock
+			b.add(m)
+		}
+	}
+	s.runRound(s.Var.Transport, b)
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		bytes := 0
+		for _, m := range b.byDst[id] {
+			s.deliver(m)
+			p.unpack(r, m.link, m.Data)
+			m.link.seq++
+			if !p.direct {
+				bytes += len(m.Data)
+			}
+		}
+		if bytes > 0 || !p.skipEmptyUnpack {
+			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
+		}
+	})
 }
 
 // --- border stage -----------------------------------------------------
@@ -77,11 +190,24 @@ func (s *Simulation) doBorder() {
 	if s.Var.Pattern == halo.P2P {
 		s.buildP2PSendLists()
 	}
+	border := &haloPass{
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return encodeBorder(buf, r.Atoms.ID, r.Atoms.Type, r.Atoms.X, l.sendList, l.shift)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			recs := decodeBorder(data)
+			l.recvStart = r.Atoms.Total()
+			l.recvCount = len(recs)
+			for _, rec := range recs {
+				r.Atoms.AddGhost(rec.id, rec.typ, rec.pos)
+			}
+		},
+	}
 	for _, k := range s.commRounds() {
 		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
-		s.borderRound(k)
+		s.haloRound(border, k)
 	}
 	if s.Var.Preregistered {
 		s.piggybackOffsets()
@@ -133,7 +259,10 @@ func (s *Simulation) build3StageSendLists(k halo.RoundKey) {
 		r := s.ranks[id]
 		a := r.Atoms
 		scanned := 0
-		for _, l := range linksOfRound(r, k) {
+		for _, l := range r.sendLinks {
+			if !inRound(l, k) {
+				continue
+			}
 			l.sendList = l.sendList[:0]
 			sign := l.dir.Comp(k.Dim)
 			qualify := func(i int) bool {
@@ -151,13 +280,12 @@ func (s *Simulation) build3StageSendLists(k halo.RoundKey) {
 				}
 				scanned += r.dimGhostMark
 			} else if prev := r.findRecvLink(k.Dim, k.Iter-1, l.dir); prev != nil {
-				start, count := prev.ghostRange()
-				for i := start; i < start+count; i++ {
+				for i := prev.recvStart; i < prev.recvStart+prev.recvCount; i++ {
 					if qualify(i) {
 						l.sendList = append(l.sendList, int32(i))
 					}
 				}
-				scanned += count
+				scanned += prev.recvCount
 			}
 		}
 		r.Clock += s.M.Cost.BorderDecideTime(scanned, false)
@@ -174,72 +302,6 @@ func (r *Rank) findRecvLink(dim, iter int, dir vec.I3) *link {
 	return nil
 }
 
-// borderRound packs, ships and unpacks the border messages of one round.
-func (s *Simulation) borderRound(k halo.RoundKey) {
-	packTh := s.packThreading()
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		bytes := 0
-		for _, l := range linksOfRound(r, k) {
-			l.sendBuf = encodeBorder(l.sendBuf, r.Atoms.ID, r.Atoms.Type, r.Atoms.X, l.sendList, l.shift)
-			bytes += len(l.sendBuf)
-		}
-		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-	})
-	b := s.newBatch()
-	for _, r := range s.ranks {
-		for _, l := range linksOfRound(r, k) {
-			if s.Var.Transport == halo.TransportUTofu {
-				s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
-			}
-			b.add(&rmsg{
-				src: r, dst: l.dst, link: l, res: l.fwd, dstThread: l.rev.thread,
-				data: l.sendBuf, known: false, inboxDst: inboxFwd,
-				readyAt: r.Clock,
-			})
-		}
-	}
-	s.runRound(b.msgs)
-	s.deliverToInboxes(b.msgs)
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		bytes := 0
-		for _, m := range b.byDst[id] {
-			l := m.link
-			recs := decodeBorder(m.data)
-			l.recvStart = r.Atoms.Total()
-			l.recvCount = len(recs)
-			l.seq++
-			for _, rec := range recs {
-				r.Atoms.AddGhost(rec.id, rec.typ, rec.pos)
-			}
-			bytes += len(m.data)
-		}
-		r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-	})
-}
-
-// deliverToInboxes copies payloads into the uTofu receive buffers, making
-// the round-robin rotation functional: the receiver decodes from its own
-// registered buffer, not the sender's scratch.
-func (s *Simulation) deliverToInboxes(msgs []*rmsg) {
-	if s.Var.Transport != halo.TransportUTofu {
-		return
-	}
-	for _, m := range msgs {
-		if m.link == nil || m.inboxDst == inboxXArray {
-			continue
-		}
-		ib := m.link.inbox
-		if m.inboxDst == inboxRev {
-			ib = m.link.revInbox
-		}
-		buf := ib.Bufs[m.link.seq%4]
-		copy(buf, m.data)
-		m.data = buf[:len(m.data)]
-	}
-}
-
 // piggybackOffsets ships each receiver's ghost offset (recv_ptr) back to
 // the sender as an 8-byte descriptor immediate. Functionally the shared
 // link struct already carries the offset; this round charges its time.
@@ -247,220 +309,72 @@ func (s *Simulation) piggybackOffsets() {
 	b := s.newBatch()
 	for _, r := range s.ranks {
 		for _, l := range r.recvLinks {
-			b.add(&rmsg{
-				src: r, dst: l.src, link: l, res: l.rev, dstThread: l.fwd.thread,
-				data: make([]byte, 8), known: true, inboxDst: inboxRev,
-				readyAt: r.Clock,
-			})
+			m := linkMsg(l, true, make([]byte, 8), true)
+			m.ReadyAt = r.Clock
+			b.add(m)
 		}
 	}
-	s.runRound(b.msgs)
+	s.runRound(s.Var.Transport, b)
 }
 
-// --- forward stage ----------------------------------------------------
+// --- forward and reverse stages ------------------------------------------
 
 // doForward updates ghost positions from their owners: positions packed per
 // send list, shipped over the variant's transport, and written into the
 // receiver's position array — directly via RDMA under the pre-registered
 // scheme (no unpack copy), via receive buffers otherwise.
 func (s *Simulation) doForward() {
-	packTh := s.packThreading()
-	for _, k := range s.commRounds() {
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range linksOfRound(r, k) {
-				l.sendBuf = encodePositions(l.sendBuf, r.Atoms.X, l.sendList, l.shift)
-				bytes += len(l.sendBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range linksOfRound(r, k) {
-				m := &rmsg{
-					src: r, dst: l.dst, link: l, res: l.fwd, dstThread: l.rev.thread,
-					data: l.sendBuf, known: true,
-					readyAt: r.Clock,
-				}
-				if s.Var.Preregistered {
-					m.inboxDst = inboxXArray
-					m.dstOff = l.recvStart * posBytes
-				} else {
-					m.inboxDst = inboxFwd
-					if s.Var.Transport == halo.TransportUTofu {
-						s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
-					}
-				}
-				b.add(m)
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				l := m.link
-				decodePositions(m.data, r.Atoms.X, l.recvStart, l.recvCount)
-				l.seq++
-				if !s.Var.Preregistered {
-					bytes += len(m.data)
-				}
-			}
-			if bytes > 0 {
-				r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-			}
-		})
-	}
+	s.runPass(&haloPass{
+		known: true, direct: s.Var.Preregistered, skipEmptyUnpack: true,
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return encodePositions(buf, r.Atoms.X, l.sendList, l.shift)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			decodePositions(data, r.Atoms.X, l.recvStart, l.recvCount)
+		},
+	})
 }
-
-// --- reverse stage ----------------------------------------------------
 
 // doReverse returns ghost forces to their owners (Newton's 3rd law): each
 // ghost holder packs the force range of its ghosts and the owner
-// accumulates into the send-list atoms. 3-stage runs its rounds in reverse
-// order so forwarded contributions cascade home.
+// accumulates into the send-list atoms.
 func (s *Simulation) doReverse() {
-	packTh := s.packThreading()
-	rounds := s.commRounds()
-	for i := len(rounds) - 1; i >= 0; i-- {
-		k := rounds[i]
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				l.revBuf = encodeVectors(l.revBuf, r.Atoms.F, l.recvStart, l.recvCount)
-				bytes += len(l.revBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				if s.Var.Transport == halo.TransportUTofu {
-					s.ensureInbox(l.src, l.revInbox, len(l.revBuf))
-				}
-				b.add(&rmsg{
-					src: r, dst: l.src, link: l, res: l.rev, dstThread: l.fwd.thread,
-					data: l.revBuf, known: true, inboxDst: inboxRev,
-					readyAt: r.Clock,
-				})
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				decodeAddVectors(m.data, r.Atoms.F, m.link.sendList)
-				m.link.seq++
-				bytes += len(m.data)
-			}
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-		})
-	}
+	s.runPass(&haloPass{
+		rev: true, known: true,
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return encodeVectors(buf, r.Atoms.F, l.recvStart, l.recvCount)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			decodeAddVectors(data, r.Atoms.F, l.sendList)
+		},
+	})
 }
-
-// --- EAM scalar exchanges (charged inside the pair stage) --------------
 
 // reverseScalar sends ghost scalar contributions (EAM densities) home.
 func (s *Simulation) reverseScalar(arr func(*Rank) []float64) {
-	packTh := s.packThreading()
-	rounds := s.commRounds()
-	for i := len(rounds) - 1; i >= 0; i-- {
-		k := rounds[i]
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				l.revBuf = encodeScalarRange(l.revBuf, arr(r), l.recvStart, l.recvCount)
-				bytes += len(l.revBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				if s.Var.Transport == halo.TransportUTofu {
-					s.ensureInbox(l.src, l.revInbox, len(l.revBuf))
-				}
-				b.add(&rmsg{
-					src: r, dst: l.src, link: l, res: l.rev, dstThread: l.fwd.thread,
-					data: l.revBuf, known: true, inboxDst: inboxRev,
-					readyAt: r.Clock,
-				})
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				decodeAddScalars(m.data, arr(r), m.link.sendList)
-				m.link.seq++
-				bytes += len(m.data)
-			}
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-		})
-	}
+	s.runPass(&haloPass{
+		rev: true, known: true,
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return halo.EncodeScalars(buf, arr(r), l.recvStart, l.recvCount)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			decodeAddScalars(data, arr(r), l.sendList)
+		},
+	})
 }
 
 // forwardScalar distributes an owner scalar (EAM embedding derivative) to
 // ghosts.
 func (s *Simulation) forwardScalar(arr func(*Rank) []float64) {
-	packTh := s.packThreading()
-	for _, k := range s.commRounds() {
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range linksOfRound(r, k) {
-				l.sendBuf = encodeScalars(l.sendBuf, arr(r), l.sendList)
-				bytes += len(l.sendBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range linksOfRound(r, k) {
-				if s.Var.Transport == halo.TransportUTofu {
-					s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
-				}
-				b.add(&rmsg{
-					src: r, dst: l.dst, link: l, res: l.fwd, dstThread: l.rev.thread,
-					data: l.sendBuf, known: true, inboxDst: inboxFwd,
-					readyAt: r.Clock,
-				})
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				l := m.link
-				decodeScalars(m.data, arr(r), l.recvStart, l.recvCount)
-				l.seq++
-				bytes += len(m.data)
-			}
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-		})
-	}
+	s.runPass(&haloPass{
+		known: true,
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return encodeScalars(buf, arr(r), l.sendList)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			halo.DecodeScalars(data, arr(r), l.recvStart, l.recvCount)
+		},
+	})
 }
 
 // --- exchange stage -----------------------------------------------------
@@ -495,46 +409,30 @@ func (s *Simulation) doExchange() {
 		r.Clock += s.M.Cost.ScanTime(a.NLocal)
 	})
 	b := s.newBatch()
-	payloads := map[*rmsg][]exchRecord{}
 	for _, r := range s.ranks {
 		dsts := make([]int, 0, len(r.exchScratch))
 		for d := range r.exchScratch {
 			dsts = append(dsts, d)
 		}
-		sortInts(dsts)
+		sort.Ints(dsts)
 		for _, d := range dsts {
-			recs := r.exchScratch[d]
-			m := &rmsg{
-				src: r, dst: s.ranks[d],
-				data: encodeExchange(nil, recs), known: false,
-				readyAt: r.Clock + s.M.Cost.PackTime(units.Bytes(len(recs)*exchBytes), machine.Serial),
+			data := encodeExchange(nil, r.exchScratch[d])
+			b.add(&msg{Msg: halo.Msg{
+				Src: r.ID, Dst: d, Data: data,
+				ReadyAt: r.Clock + s.M.Cost.PackTime(units.Bytes(len(data)), machine.Serial),
+			}})
+		}
+	}
+	s.runRound(halo.TransportMPI, b)
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		for _, m := range b.byDst[id] {
+			for _, rec := range decodeExchange(m.Data) {
+				r.Atoms.AddLocal(rec.id, rec.typ, rec.pos, rec.vel)
 			}
-			b.add(m)
-			payloads[m] = recs
+			r.Clock += s.M.Cost.UnpackTime(units.Bytes(len(m.Data)), machine.Serial)
 		}
-	}
-	if len(b.msgs) == 0 {
-		return
-	}
-	savedTransport := s.Var.Transport
-	s.Var.Transport = halo.TransportMPI
-	s.runRound(b.msgs)
-	s.Var.Transport = savedTransport
-	for _, m := range b.msgs {
-		recs := payloads[m]
-		for _, rec := range recs {
-			m.dst.Atoms.AddLocal(rec.id, rec.typ, rec.pos, rec.vel)
-		}
-		m.dst.Clock += s.M.Cost.UnpackTime(units.Bytes(len(recs)*exchBytes), machine.Serial)
-	}
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
+	})
 }
 
 // --- neighbor build and forces -----------------------------------------

@@ -28,10 +28,9 @@ type Comm struct {
 	// section 3.5.1: the array length rides in the first element of the
 	// payload instead of a separate message. Off for the baseline.
 	CombineLength bool
-	// Rec, when non-nil, receives one RoundEvent per collective. Now, when
-	// set, supplies the absolute virtual time a collective starts at (the
-	// communicator itself has no clock; the driver's is authoritative).
-	Rec *trace.Recorder
+	// Now, when set, supplies the absolute virtual time a collective starts
+	// at in the fabric's trace (the communicator itself has no clock; the
+	// driver's is authoritative).
 	Now func() float64
 
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
@@ -266,12 +265,12 @@ func (c *Comm) Allreduce(contrib [][]float64, op ReduceOp) ([]float64, float64, 
 		c.met.allreduceBytes.Add(int64(8 * width))
 		c.met.allreduceSeconds.Observe(t)
 	}
-	if c.Rec.Enabled() {
+	if c.Fab.Rec.Enabled() {
 		var now float64
 		if c.Now != nil {
 			now = c.Now()
 		}
-		c.Rec.Round(trace.RoundEvent{
+		c.Fab.Rec.Round(trace.RoundEvent{
 			Kind: "allreduce", Count: n, Bytes: 8 * width,
 			Start: now, End: now + t,
 		})
